@@ -359,14 +359,6 @@ std::uint64_t Uniloc::scheme_cache_misses() const {
   return total;
 }
 
-void Uniloc::snapshot_into(offload::ByteWriter& w) const {
-  snapshot_into(w, /*quantize=*/false);
-}
-
-bool Uniloc::restore_from(offload::ByteReader& r) {
-  return restore_from(r, /*quantize=*/false);
-}
-
 void Uniloc::snapshot_into(offload::ByteWriter& w, bool quantize) const {
   const schemes::SnapshotContext ctx{
       quantize, cfg_.place != nullptr ? cfg_.place->bounds() : geo::BBox{}};

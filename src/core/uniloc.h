@@ -120,21 +120,18 @@ class Uniloc {
   /// Serialize all persistent mutable state -- the duty-cycle flag, the
   /// location predictor, and every scheme's state (name-tagged and
   /// length-prefixed) -- for a session checkpoint (svc/checkpoint.h).
-  void snapshot_into(offload::ByteWriter& w) const;
+  /// `quantize` selects the fixed-point particle codec (checkpoint
+  /// format v2), with the venue grid taken from this framework's Place
+  /// bounds (schemes::SnapshotContext); false is the lossless f64 codec
+  /// (v1). The flag must match between snapshot and restore -- the
+  /// checkpoint header's version byte carries it across the file
+  /// boundary.
+  void snapshot_into(offload::ByteWriter& w, bool quantize) const;
   /// Restore into a framework built with the same configuration, scheme
   /// list and seeds as the snapshotted one (the service rebuilds it via
   /// the session factory first). Validates the scheme names and payload
   /// framing; returns false (state unspecified but safe) on mismatch or
   /// malformed input.
-  bool restore_from(offload::ByteReader& r);
-
-  /// Codec-versioned snapshot pair: `quantize` selects the fixed-point
-  /// particle codec (checkpoint format v2), with the venue grid taken
-  /// from this framework's Place bounds (schemes::SnapshotContext). The
-  /// flag must match between snapshot and restore -- the checkpoint
-  /// header's version byte carries it across the file boundary.
-  /// quantize == false is byte-identical to the pair above.
-  void snapshot_into(offload::ByteWriter& w, bool quantize) const;
   bool restore_from(offload::ByteReader& r, bool quantize);
 
   /// Attach latency/throughput instrumentation to `registry` (nullptr

@@ -114,8 +114,7 @@ class CaseRunner {
   enum class Injector { kNone, kSnapshot, kChain };
 
   PassResult run_single(int workers, Injector injector,
-                        const std::string& label,
-                        std::size_t epoch_batch = 1);
+                        const std::string& label);
   PassResult run_fleet();
 
   void check_report(const PassResult& pass);
@@ -193,12 +192,10 @@ svc::LoadGenConfig CaseRunner::load_config(const obs::Counter* up) {
 }
 
 PassResult CaseRunner::run_single(int workers, Injector injector,
-                                  const std::string& label,
-                                  std::size_t epoch_batch) {
+                                  const std::string& label) {
   obs::MetricsRegistry reg;
   svc::ServerConfig scfg;
   scfg.workers = workers;
-  scfg.epoch_batch = epoch_batch;
   scfg.on_epoch = [this, label](std::uint64_t,
                                 const core::EpochDecision& d) {
     check_decision(d, label);
@@ -446,17 +443,13 @@ Verdict CaseRunner::run(const OracleOptions& opts) {
     compare_passes(ref, run_fleet(), "I7 (fleet)");
   }
 
-  if (opts.check_batch && spec_.batch > 1) {
-    // I8, both halves in one comparison: route the stream through the
-    // EpochBatcher (workers=0 drains batches inline, so the pass stays
-    // deterministic) AND force the scalar kernels. The base pass above
-    // ran unbatched with SIMD on -- equality pins batched == unbatched
-    // and scalar == vector at once.
+  if (opts.check_batch && spec_.batch) {
+    // I8: the same deterministic workers=0 pass with the scalar kernels
+    // forced. The base pass above ran with SIMD on, so equality pins
+    // scalar == vector.
     const stats::ScopedSimd scalar_only(false);
-    compare_passes(ref,
-                   run_single(/*workers=*/0, Injector::kNone, "batch",
-                              /*epoch_batch=*/spec_.batch),
-                   "I8 (batch+scalar)");
+    compare_passes(ref, run_single(/*workers=*/0, Injector::kNone, "scalar"),
+                   "I8 (scalar)");
   }
 
   Verdict v;

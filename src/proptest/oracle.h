@@ -18,12 +18,10 @@
 //   I7  The fleet is invisible: a ShardRouter over N shards -- through
 //       migration rotation and membership churn -- serves the exact
 //       stream of a single server, and no session is ever lost.
-//   I8  Vectorization and batching are invisible: a pass through the
-//       cross-session EpochBatcher (epoch_batch = spec.batch) with the
-//       SIMD kernels forced OFF (stats::ScopedSimd) reproduces the base
-//       pass -- which runs unbatched with the kernels ON -- bit for bit.
-//       One comparison pins both equalities: batched == unbatched and
-//       scalar == vector, NaN-aware like every pass comparison.
+//   I8  Vectorization is invisible: a pass with the SIMD kernels forced
+//       OFF (stats::ScopedSimd) through the server's one dispatch path
+//       reproduces the base pass -- which runs with the kernels ON -- bit
+//       for bit (scalar == vector, NaN-aware like every pass comparison).
 //   I9  Delta-chain durability is invisible: a run that checkpoints via
 //       keyframe+delta waves (dirty sessions only) and restores every
 //       scripted crash through collapse_chain is bit-identical to the

@@ -104,10 +104,6 @@ CaseSpec shrink_case(const CaseSpec& failing, const FailFn& still_fails,
                               [](CaseSpec& c, std::uint32_t v) {
                                 c.workers = v;
                               });
-    s.minimize<std::uint32_t>(s.best().batch, 0,
-                              [](CaseSpec& c, std::uint32_t v) {
-                                c.batch = v;
-                              });
     s.minimize<std::uint32_t>(s.best().shards, 1,
                               [](CaseSpec& c, std::uint32_t v) {
                                 c.shards = v;
@@ -202,6 +198,11 @@ CaseSpec shrink_case(const CaseSpec& failing, const FailFn& still_fails,
     {
       CaseSpec c = s.best();
       c.delta_chain = false;
+      s.accept(c);
+    }
+    {
+      CaseSpec c = s.best();
+      c.batch = false;
       s.accept(c);
     }
     {

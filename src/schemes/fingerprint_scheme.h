@@ -34,10 +34,12 @@ class FingerprintScheme final : public LocalizationScheme {
   SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
   void set_epoch_context(EpochContext* ctx) override { epoch_ctx_ = ctx; }
-  void snapshot_into(offload::ByteWriter& w) const override {
+  void snapshot_into(offload::ByteWriter& w,
+                     const SnapshotContext& /*ctx*/) const override {
     calibrator_.snapshot_into(w);
   }
-  bool restore_from(offload::ByteReader& r) override {
+  bool restore_from(offload::ByteReader& r,
+                    const SnapshotContext& /*ctx*/) override {
     return calibrator_.restore_from(r);
   }
 

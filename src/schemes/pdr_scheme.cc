@@ -187,14 +187,6 @@ void PdrScheme::update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
   make_output_into(out);
 }
 
-void PdrScheme::snapshot_into(offload::ByteWriter& w) const {
-  snapshot_into(w, SnapshotContext{});
-}
-
-bool PdrScheme::restore_from(offload::ByteReader& r) {
-  return restore_from(r, SnapshotContext{});
-}
-
 void PdrScheme::snapshot_into(offload::ByteWriter& w,
                               const SnapshotContext& ctx) const {
   frontend_.snapshot_into(w);

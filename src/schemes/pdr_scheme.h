@@ -46,8 +46,6 @@ class PdrScheme : public LocalizationScheme {
   SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
   void attach_metrics(obs::MetricsRegistry* registry) override;
-  void snapshot_into(offload::ByteWriter& w) const override;
-  bool restore_from(offload::ByteReader& r) override;
   void snapshot_into(offload::ByteWriter& w,
                      const SnapshotContext& ctx) const override;
   bool restore_from(offload::ByteReader& r,

@@ -157,31 +157,25 @@ class LocalizationScheme {
   }
 
   /// Serialize the scheme's persistent mutable state (everything reset()
-  /// initializes and update() evolves) for a session checkpoint. The
-  /// default covers stateless schemes: nothing written, restore succeeds.
-  /// Stateful schemes override both; restore_from must consume exactly
-  /// the bytes snapshot_into wrote (the caller length-prefixes each
-  /// scheme payload and verifies the framing), reject malformed input by
-  /// returning false, and leave the scheme usable either way.
-  virtual void snapshot_into(offload::ByteWriter& w) const { (void)w; }
-  virtual bool restore_from(offload::ByteReader& r) {
-    (void)r;
-    return true;
-  }
-
-  /// Context-aware snapshot codec. Schemes that hold particle state
-  /// override these to honor `ctx.quantize`; the defaults delegate to
-  /// the context-free pair, so stateless schemes and schemes with no
-  /// quantizable state serialize identically under every context.
+  /// initializes and update() evolves) for a session checkpoint. This is
+  /// the one snapshot pair a scheme author implements. The default covers
+  /// stateless schemes: nothing written, restore succeeds. Stateful
+  /// schemes override both; restore_from must consume exactly the bytes
+  /// snapshot_into wrote under the same `ctx` (the caller length-prefixes
+  /// each scheme payload and verifies the framing), reject malformed
+  /// input by returning false, and leave the scheme usable either way.
+  /// Only schemes holding particle state need read `ctx` (to honor
+  /// `ctx.quantize`); the rest serialize identically under every context.
   virtual void snapshot_into(offload::ByteWriter& w,
                              const SnapshotContext& ctx) const {
+    (void)w;
     (void)ctx;
-    snapshot_into(w);
   }
   virtual bool restore_from(offload::ByteReader& r,
                             const SnapshotContext& ctx) {
+    (void)r;
     (void)ctx;
-    return restore_from(r);
+    return true;
   }
 
   /// Likelihood-cache query outcomes accumulated by this scheme's fast

@@ -13,8 +13,9 @@
 //
 //   ROUTING --mark migrating--> BUFFERING: new frames for the session
 //     park in the router (promise retained), nothing reaches A or B.
-//   A.extract_session: pin against TTL eviction, drain the strand
-//     (quiesce), serialize as one snapshot-codec record, erase from A.
+//   A.extract_session: pin against TTL eviction, close the session
+//     (later enqueues get kUnknownSession), then with the strand held
+//     serialize it as one snapshot-codec record and erase it from A.
 //   B <- kMigrate frame: B validates the payload at its hostile-input
 //     boundary and rebuilds the session (factory + restore_from, same
 //     discipline as checkpoint restore).

@@ -1,6 +1,6 @@
 #include "svc/checkpoint.h"
 
-#include <cstdio>
+#include "svc/session_manager.h"
 
 namespace uniloc::svc {
 
@@ -16,11 +16,6 @@ bool check_snapshot_header(offload::ByteReader& r, std::uint8_t& version) {
   return version == kSnapshotVersion || version == kSnapshotVersionQuantized;
 }
 
-bool check_snapshot_header(offload::ByteReader& r) {
-  std::uint8_t version;
-  return check_snapshot_header(r, version) && version == kSnapshotVersion;
-}
-
 bool read_session_record_header(offload::ByteReader& r,
                                 SessionRecordHeader& out) {
   if (!r.get_u64(out.id) || !r.get_u64(out.last_active_us) ||
@@ -30,40 +25,14 @@ bool read_session_record_header(offload::ByteReader& r,
   return out.payload_len <= r.remaining();
 }
 
-std::string checkpoint_path(const std::string& dir) {
-  return dir + "/checkpoint.bin";
-}
-
-bool write_checkpoint_file(const std::string& dir,
-                           const std::vector<std::uint8_t>& bytes,
-                           const FsOps& ops) {
-  // write(+fsync) temp -> rename -> fsync dir, all through atomic_publish
-  // so the checkpoint file and the delta-chain wave files share one
-  // durability discipline (DESIGN.md section 17).
-  return atomic_publish(ops, dir, "checkpoint.bin", bytes);
-}
-
-std::optional<std::vector<std::uint8_t>> read_checkpoint_file(
-    const std::string& dir) {
-  std::FILE* f = std::fopen(checkpoint_path(dir).c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  // Stat first: size the buffer once and enforce the hostile-input cap
-  // before allocating, instead of growing a vector 4 KB at a time with
-  // no bound (the PR-5 read path's bug).
-  long size = -1;
-  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
-  if (size < 0 || static_cast<std::uint64_t>(size) > kMaxCheckpointFileBytes ||
-      std::fseek(f, 0, SEEK_SET) != 0) {
-    std::fclose(f);
-    return std::nullopt;
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  const bool ok =
-      bytes.empty() ||
-      std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  std::fclose(f);
-  if (!ok) return std::nullopt;
-  return bytes;
+void write_session_record(offload::ByteWriter& w, Session& session,
+                          bool quantize) {
+  write_session_record(
+      w, session.id(), session.last_active_us(),
+      static_cast<std::uint64_t>(session.epochs_served()),
+      [&](offload::ByteWriter& out) {
+        session.uniloc().snapshot_into(out, quantize);
+      });
 }
 
 }  // namespace uniloc::svc

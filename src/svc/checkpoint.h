@@ -1,11 +1,11 @@
-// Versioned session-snapshot format and atomic checkpoint files.
+// Versioned session-snapshot format.
 //
 // A snapshot is the full serialized state of a LocalizationServer's
 // session population, framed so that a restorer can validate it before
 // touching any session state (DESIGN.md section 12):
 //
 //   u32  magic   'UCKP'
-//   u8   version (currently 1; other versions are rejected)
+//   u8   version (1 lossless, 2 quantized; other versions are rejected)
 //   u64  accepted_since_scan   (eviction-scan cadence counter)
 //   u32  session count
 //   per session, in ascending id order:
@@ -15,6 +15,10 @@
 //     u32  payload length
 //     ...  core::Uniloc payload (core/uniloc.cc), exactly `length` bytes
 //
+// The per-session record is also the unit of the kMigrate payload and of
+// the delta-chain waves (svc/delta.h); write_session_record is its one
+// writer and read_session_record_header its one reader.
+//
 // The codec is deliberately hostile-input safe: every length is checked
 // against the remaining buffer, scheme payloads are name-tagged and
 // framing-verified, and the mt19937 read position is range-checked before
@@ -23,14 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "offload/bytes.h"
-#include "svc/fsio.h"
 
 namespace uniloc::svc {
+
+class Session;  // svc/session_manager.h
 
 /// 'UCKP' little-endian ("Uniloc ChecKPoint").
 inline constexpr std::uint32_t kSnapshotMagic = 0x504B4355u;
@@ -48,9 +50,9 @@ inline constexpr std::uint8_t kSnapshotVersionQuantized = 2;
 /// let a hostile snapshot drive a multi-gigabyte allocation loop.
 inline constexpr std::uint32_t kMaxSnapshotSessions = 1u << 20;
 
-/// Hard cap on a checkpoint file's size (4 GiB): read_checkpoint_file
-/// rejects anything larger before allocating a byte of it, so a hostile
-/// or corrupt path cannot drive an unbounded read loop.
+/// Hard cap on a checkpoint wave file's size (4 GiB): load_wave_files
+/// skips anything larger before allocating a byte of it, so a hostile or
+/// corrupt file cannot drive an unbounded read loop.
 inline constexpr std::uint64_t kMaxCheckpointFileBytes = 1ull << 32;
 
 /// Write the snapshot header (magic + version). `version` must be
@@ -62,9 +64,6 @@ void write_snapshot_header(offload::ByteWriter& w,
 /// version. On success `version` holds the snapshot's payload codec
 /// version (callers thread it into Uniloc::restore_from).
 bool check_snapshot_header(offload::ByteReader& r, std::uint8_t& version);
-
-/// Back-compat shim: accepts only version-1 snapshots.
-bool check_snapshot_header(offload::ByteReader& r);
 
 /// The fixed-size prefix of one per-session record. Shared by the full
 /// server snapshot, the kMigrate wire payload (exactly one record after
@@ -84,22 +83,29 @@ struct SessionRecordHeader {
 bool read_session_record_header(offload::ByteReader& r,
                                 SessionRecordHeader& out);
 
-/// Atomically replace `dir`/checkpoint.bin with `bytes`: written to a
-/// temp file in the same directory, fsync'd, renamed over the target,
-/// then the directory fd is fsync'd so the rename itself survives a
-/// crash (without the dir fsync a crash after rename can lose the newly
-/// published checkpoint -- the regression the FsOps hook pins). Returns
-/// false on any I/O failure. `ops` injects the filesystem primitives
-/// for the torn-write tests; default uses the real implementation.
-bool write_checkpoint_file(const std::string& dir,
-                           const std::vector<std::uint8_t>& bytes,
-                           const FsOps& ops = {});
+/// Append one session record: the SessionRecordHeader fields, then the
+/// bytes `write_payload(w)` appends, with payload_len patched to their
+/// count.
+template <typename WritePayload>
+void write_session_record(offload::ByteWriter& w, std::uint64_t id,
+                          std::uint64_t last_active_us,
+                          std::uint64_t epochs_served,
+                          WritePayload&& write_payload) {
+  w.put_u64(id);
+  w.put_u64(last_active_us);
+  w.put_u64(epochs_served);
+  const std::size_t len_pos = w.size();
+  w.put_u32(0);
+  const std::size_t start = w.size();
+  write_payload(w);
+  w.patch_u32(len_pos, static_cast<std::uint32_t>(w.size() - start));
+}
 
-/// Read back `dir`/checkpoint.bin; nullopt when absent or unreadable.
-std::optional<std::vector<std::uint8_t>> read_checkpoint_file(
-    const std::string& dir);
-
-/// The checkpoint file path used by the helpers above.
-std::string checkpoint_path(const std::string& dir);
+/// Append a live session's record: its bookkeeping and its core::Uniloc
+/// payload (`quantize` selects payload version 2). Call with the
+/// session's strand held (Session::run_exclusive) so the record is one
+/// consistent post-epoch state.
+void write_session_record(offload::ByteWriter& w, Session& session,
+                          bool quantize);
 
 }  // namespace uniloc::svc

@@ -1,7 +1,6 @@
 #include "svc/delta.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -27,30 +26,7 @@ WaveBuilder::WaveBuilder(const WaveHeader& header,
   w_.put_u32(0);  // record count, patched by finish()
 }
 
-offload::ByteWriter& WaveBuilder::begin_session(std::uint64_t id,
-                                                std::uint64_t last_active_us,
-                                                std::uint64_t epochs_served) {
-  assert(!in_session_);
-  w_.put_u64(id);
-  w_.put_u64(last_active_us);
-  w_.put_u64(epochs_served);
-  len_pos_ = w_.size();
-  w_.put_u32(0);  // payload length, patched by end_session()
-  payload_start_ = w_.size();
-  in_session_ = true;
-  return w_;
-}
-
-void WaveBuilder::end_session() {
-  assert(in_session_);
-  w_.patch_u32(len_pos_,
-               static_cast<std::uint32_t>(w_.size() - payload_start_));
-  ++record_count_;
-  in_session_ = false;
-}
-
 std::vector<std::uint8_t> WaveBuilder::finish() {
-  assert(!in_session_);
   w_.patch_u32(count_pos_, record_count_);
   const std::vector<std::uint8_t>& body = w_.bytes();
   w_.put_u32(offload::crc32(body.data(), body.size()));
@@ -211,11 +187,10 @@ ChainCollapse collapse_chain(
   w.put_u64(accepted);
   w.put_u32(static_cast<std::uint32_t>(state.size()));
   for (const auto& [id, slot] : state) {
-    w.put_u64(slot.h.id);
-    w.put_u64(slot.h.last_active_us);
-    w.put_u64(slot.h.epochs_served);
-    w.put_u32(slot.h.payload_len);
-    w.put_bytes(slot.payload, slot.h.payload_len);
+    write_session_record(w, slot.h.id, slot.h.last_active_us,
+                         slot.h.epochs_served, [&](offload::ByteWriter& out) {
+                           out.put_bytes(slot.payload, slot.h.payload_len);
+                         });
   }
   out.ok = true;
   out.seq = prev_seq;

@@ -59,20 +59,19 @@ struct WaveHeader {
 };
 
 /// Streaming wave encoder. Records are written in place (no per-session
-/// staging buffer): begin_session returns the writer positioned after
-/// the record header, end_session patches the payload length.
+/// staging buffer) by write_session_record (svc/checkpoint.h).
 class WaveBuilder {
  public:
   WaveBuilder(const WaveHeader& header,
               const std::vector<std::uint64_t>& members);
 
-  /// Start one session record; append the Uniloc payload to the returned
-  /// writer, then call end_session. Sessions must be added in ascending
-  /// id order (decode enforces it).
-  offload::ByteWriter& begin_session(std::uint64_t id,
-                                     std::uint64_t last_active_us,
-                                     std::uint64_t epochs_served);
-  void end_session();
+  /// Count one more session record and return the writer to append it
+  /// to: exactly one write_session_record call per next_record. Sessions
+  /// must be added in ascending id order (decode enforces it).
+  offload::ByteWriter& next_record() {
+    ++record_count_;
+    return w_;
+  }
 
   /// Patch the record count, append the CRC, and take the bytes. The
   /// builder is spent afterwards.
@@ -81,10 +80,7 @@ class WaveBuilder {
  private:
   offload::ByteWriter w_;
   std::size_t count_pos_{0};
-  std::size_t len_pos_{0};
-  std::size_t payload_start_{0};
   std::uint32_t record_count_{0};
-  bool in_session_{false};
 };
 
 /// Decoded view of one wave. Record payloads point into the decoded

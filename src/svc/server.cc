@@ -24,9 +24,7 @@ LocalizationServer::LocalizationServer(ServerConfig cfg,
       factory_(std::move(factory)),
       registry_(registry),
       sessions_(cfg_.stripes),
-      pool_(ThreadPool::Config{cfg_.workers, cfg_.pool_queue_capacity}),
-      batcher_(pool_, cfg_.epoch_batch,
-               static_cast<std::size_t>(std::max(1, cfg_.workers))) {
+      pool_(ThreadPool::Config{cfg_.workers, cfg_.pool_queue_capacity}) {
   if (registry != nullptr) {
     // Instruments are resolved once here, before any worker can observe;
     // the registry map itself is never touched from a worker thread.
@@ -97,7 +95,9 @@ std::future<std::vector<std::uint8_t>> LocalizationServer::submit(
     }
   }
   if (scan_now) evict_idle();
-  if (cfg_.checkpoint_period_us > 0) maybe_checkpoint();
+  if (cfg_.checkpoint_period_us > 0 && !cfg_.checkpoint_dir.empty()) {
+    maybe_checkpoint();
+  }
 
   DecodeResult decoded = decode_frame(request);
   if (!decoded.frame.has_value()) {
@@ -147,10 +147,14 @@ void LocalizationServer::handle_hello(const Frame& frame,
         make_error_frame(frame.session_id, ErrorCode::kMalformed)));
     return;
   }
-  std::unique_ptr<core::Uniloc> uniloc = factory_(frame.session_id);
-  uniloc->reset({hello->start, hello->heading});
-  const SessionPtr session =
-      sessions_.create(frame.session_id, std::move(uniloc), now_us());
+  // A live id is refused before the factory builds a whole ensemble on
+  // this (single) ingress thread; create() stays the final arbiter.
+  SessionPtr session;
+  if (sessions_.find(frame.session_id) == nullptr) {
+    std::unique_ptr<core::Uniloc> uniloc = factory_(frame.session_id);
+    uniloc->reset({hello->start, hello->heading});
+    session = sessions_.create(frame.session_id, std::move(uniloc), now_us());
+  }
   if (session == nullptr) {
     if (ins_.rejected != nullptr) ins_.rejected->inc();
     promise->set_value(encode_frame(
@@ -209,33 +213,34 @@ void LocalizationServer::handle_epoch(Frame frame, const Promise& promise) {
       },
       cfg_.inbox_capacity, now_us());
 
-  if (verdict == Session::Enqueue::kBackpressure) {
+  if (verdict == Session::Enqueue::kBackpressure ||
+      verdict == Session::Enqueue::kClosed) {
+    // kClosed: extracted for migration after the lookup above; the
+    // client's re-hello finds the session's new home.
+    const bool closed = verdict == Session::Enqueue::kClosed;
+    const char* why = closed ? "closed" : "backpressure";
     if (cfg_.tracer != nullptr) {
-      cfg_.tracer->end(queue_wait, "backpressure");
-      cfg_.tracer->end(root, "backpressure");
+      cfg_.tracer->end(queue_wait, why);
+      cfg_.tracer->end(root, why);
     }
     if (ins_.rejected != nullptr) ins_.rejected->inc();
-    if (cfg_.flight != nullptr) {
+    if (cfg_.flight != nullptr && !closed) {
       obs::FlightEvent ev;
       ev.session_id = session_id;
       ev.epoch = raw->epochs_served();
       ev.kind = obs::FlightKind::kBackpressure;
       cfg_.flight->record(ev);
     }
-    promise->set_value(encode_frame(
-        make_error_frame(session_id, ErrorCode::kBackpressure)));
+    promise->set_value(encode_frame(make_error_frame(
+        session_id,
+        closed ? ErrorCode::kUnknownSession : ErrorCode::kBackpressure)));
     return;
   }
   count_accepted();
-  if (verdict == Session::Enqueue::kStartDrain) {
-    if (cfg_.epoch_batch > 1) {
-      // Batched dispatch: coalesce this wakeup with other drainable
-      // sessions so one runner task serves the burst (svc/batcher.h).
-      batcher_.submit(session);
-    } else if (!pool_.post([session] { session->drain(); })) {
-      // Pool is stopping: drain inline so no promise is left dangling.
-      session->drain();
-    }
+  if (verdict == Session::Enqueue::kStartDrain &&
+      !pool_.post([session] { session->drain(); })) {
+    // Pool is stopping: drain inline so no promise is left dangling.
+    session->drain();
   }
 }
 
@@ -457,12 +462,7 @@ void LocalizationServer::maybe_checkpoint() {
     if (now < last_checkpoint_us_ + cfg_.checkpoint_period_us) return;
     last_checkpoint_us_ = now;
   }
-  if (!cfg_.checkpoint_dir.empty()) {
-    checkpoint_wave_now();
-    return;
-  }
-  const std::vector<std::uint8_t> bytes = snapshot();
-  if (cfg_.on_checkpoint) cfg_.on_checkpoint(bytes);
+  checkpoint_wave_now();
 }
 
 void LocalizationServer::checkpoint_wave_now() {
@@ -539,11 +539,7 @@ std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
     // wave; one that looks dirty but didn't change just costs bytes.
     if (!keyframe && !s->dirty()) continue;
     s->run_exclusive([&] {
-      offload::ByteWriter& w = builder.begin_session(
-          s->id(), s->last_active_us(),
-          static_cast<std::uint64_t>(s->epochs_served()));
-      s->uniloc().snapshot_into(w, cfg_.snapshot_quantize);
-      builder.end_session();
+      write_session_record(builder.next_record(), *s, cfg_.snapshot_quantize);
       // Inside the exclusive section: the clean mark covers exactly the
       // state this wave serialized.
       s->mark_clean();
@@ -611,16 +607,8 @@ std::vector<std::uint8_t> LocalizationServer::snapshot() {
     // between the check and the read. run_exclusive claims the strand
     // like a drain would, so the session's state is frozen at an epoch
     // boundary for exactly the duration of its record.
-    s->run_exclusive([&] {
-      w.put_u64(s->id());
-      w.put_u64(s->last_active_us());
-      w.put_u64(static_cast<std::uint64_t>(s->epochs_served()));
-      const std::size_t len_pos = w.size();
-      w.put_u32(0);
-      const std::size_t start = w.size();
-      s->uniloc().snapshot_into(w);
-      w.patch_u32(len_pos, static_cast<std::uint32_t>(w.size() - start));
-    });
+    s->run_exclusive(
+        [&] { write_session_record(w, *s, /*quantize=*/false); });
   }
   return w.take();
 }
@@ -644,29 +632,9 @@ bool LocalizationServer::restore(const std::vector<std::uint8_t>& snapshot) {
   bool ok = true;
   for (std::uint32_t i = 0; i < count && ok; ++i) {
     SessionRecordHeader rec;
-    if (!read_session_record_header(r, rec)) {
-      ok = false;
-      break;
-    }
-    // Rebuild through the factory (same per-session seeds as the hello
-    // path); restore_from then overwrites every field reset() would have
-    // initialized, so no reset() call is needed -- or wanted, since it
-    // would consume RNG draws the original session never made.
-    std::unique_ptr<core::Uniloc> uniloc = factory_(rec.id);
-    uniloc->attach_tracer(cfg_.tracer);
-    const std::size_t before = r.pos();
-    if (!uniloc->restore_from(r, quantized) ||
-        r.pos() - before != rec.payload_len) {
-      ok = false;
-      break;
-    }
-    const SessionPtr session = sessions_.create(rec.id, std::move(uniloc), 0);
-    if (session == nullptr) {  // duplicate id in a corrupt snapshot
-      ok = false;
-      break;
-    }
-    session->restore_bookkeeping(
-        rec.last_active_us, static_cast<std::size_t>(rec.epochs_served));
+    // A duplicate id (kSessionExists) means a corrupt snapshot too.
+    ok = read_session_record_header(r, rec) &&
+         !install_session(r, rec, quantized).has_value();
   }
   if (ok && r.remaining() != 0) ok = false;
   if (!ok) {
@@ -695,24 +663,24 @@ std::optional<std::vector<std::uint8_t>> LocalizationServer::extract_session(
     std::uint64_t id) {
   const SessionPtr session = sessions_.find(id);
   if (session == nullptr) return std::nullopt;
-  // Pin first, then quiesce: between the drain finishing and the erase
-  // below, a TTL scan must not evict the session out from under the
-  // serialization (the eviction-vs-migration race the shard tests pin).
+  // Pin first: between here and the erase below, a TTL scan must not
+  // evict the session out from under the serialization (the
+  // eviction-vs-migration race the shard tests pin). Then close: the
+  // router may still hand this server an epoch it routed before the
+  // migration began, and that epoch must be either in the payload
+  // (accepted before the close) or refused (kUnknownSession) -- never run
+  // on the source after its state has left.
   session->set_pinned(true);
-  while (!session->idle()) std::this_thread::yield();
-
+  session->close();
   offload::ByteWriter w;
   write_snapshot_header(w);
-  w.put_u64(session->id());
-  w.put_u64(session->last_active_us());
-  w.put_u64(static_cast<std::uint64_t>(session->epochs_served()));
-  const std::size_t len_pos = w.size();
-  w.put_u32(0);
-  const std::size_t start = w.size();
-  session->uniloc().snapshot_into(w);
-  w.patch_u32(len_pos, static_cast<std::uint32_t>(w.size() - start));
-
-  sessions_.erase(id);
+  bool erased = false;
+  session->run_exclusive([&] {
+    write_session_record(w, *session, /*quantize=*/false);
+    erased = sessions_.erase(id);
+  });
+  // A concurrent kBye ended the session first: there is nothing to move.
+  if (!erased) return std::nullopt;
   note_live_sessions();
   std::vector<std::uint8_t> payload = w.take();
   if (cfg_.flight != nullptr) {
@@ -737,23 +705,15 @@ std::optional<ErrorCode> LocalizationServer::adopt_session(
   const bool quantized = version == kSnapshotVersionQuantized;
   SessionRecordHeader rec;
   if (!read_session_record_header(r, rec)) return ErrorCode::kMalformed;
-  // The record's embedded id must match the frame's routing id: a payload
-  // smuggling a different session under a routed id is hostile input.
-  if (rec.id != expected_id) return ErrorCode::kMalformed;
-
-  // Same rebuild discipline as restore(): factory + restore_from, no
-  // reset() (it would consume RNG draws the original session never made).
-  std::unique_ptr<core::Uniloc> uniloc = factory_(rec.id);
-  uniloc->attach_tracer(cfg_.tracer);
-  const std::size_t before = r.pos();
-  if (!uniloc->restore_from(r, quantized) ||
-      r.pos() - before != rec.payload_len || r.remaining() != 0) {
+  // The record's embedded id must match the frame's routing id (a payload
+  // smuggling a different session under a routed id is hostile input),
+  // and the record must be the payload's last byte.
+  if (rec.id != expected_id || rec.payload_len != r.remaining()) {
     return ErrorCode::kMalformed;
   }
-  const SessionPtr session = sessions_.create(rec.id, std::move(uniloc), 0);
-  if (session == nullptr) return ErrorCode::kSessionExists;
-  session->restore_bookkeeping(rec.last_active_us,
-                               static_cast<std::size_t>(rec.epochs_served));
+  if (const std::optional<ErrorCode> err = install_session(r, rec, quantized)) {
+    return err;
+  }
   note_live_sessions();
   if (cfg_.flight != nullptr) {
     obs::FlightEvent ev;
@@ -763,6 +723,26 @@ std::optional<ErrorCode> LocalizationServer::adopt_session(
     ev.a = static_cast<std::int64_t>(payload.size());
     cfg_.flight->record(ev);
   }
+  return std::nullopt;
+}
+
+std::optional<ErrorCode> LocalizationServer::install_session(
+    offload::ByteReader& r, const SessionRecordHeader& rec, bool quantized) {
+  // Rebuild through the factory (same per-session seeds as the hello
+  // path); restore_from then overwrites every field reset() would have
+  // initialized, so no reset() call is needed -- or wanted, since it
+  // would consume RNG draws the original session never made.
+  std::unique_ptr<core::Uniloc> uniloc = factory_(rec.id);
+  uniloc->attach_tracer(cfg_.tracer);
+  const std::size_t before = r.pos();
+  if (!uniloc->restore_from(r, quantized) ||
+      r.pos() - before != rec.payload_len) {
+    return ErrorCode::kMalformed;
+  }
+  const SessionPtr session = sessions_.create(rec.id, std::move(uniloc), 0);
+  if (session == nullptr) return ErrorCode::kSessionExists;
+  session->restore_bookkeeping(rec.last_active_us,
+                               static_cast<std::size_t>(rec.epochs_served));
   return std::nullopt;
 }
 

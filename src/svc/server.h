@@ -38,7 +38,7 @@
 #include "core/uniloc.h"
 #include "obs/span.h"
 #include "obs/timer.h"
-#include "svc/batcher.h"
+#include "svc/checkpoint.h"
 #include "svc/committer.h"
 #include "svc/endpoint.h"
 #include "svc/session_manager.h"
@@ -70,12 +70,6 @@ struct ServerConfig {
   /// turns overload into explicit kBackpressure replies.
   std::size_t inbox_capacity{8};
   std::size_t pool_queue_capacity{4096};
-  /// Cross-session epoch batching (svc/batcher.h): sessions that become
-  /// drainable are coalesced into runner tasks that drain up to this many
-  /// back to back, instead of one pool post per session. <= 1 keeps the
-  /// classic one-post-per-session dispatch. Works in every mode; with
-  /// workers == 0 the batch path runs inline and stays deterministic.
-  std::size_t epoch_batch{1};
   double idle_ttl_s{300.0};
   /// Sessions are TTL-scanned every this many accepted frames (plus on
   /// every explicit evict_idle() call).
@@ -102,18 +96,16 @@ struct ServerConfig {
   std::function<void(std::uint64_t session_id,
                      const core::EpochDecision& decision)>
       on_epoch;
-  /// Periodic checkpointing: when > 0, submit() takes a snapshot whenever
-  /// at least this many microseconds (by `now_us`) have passed since the
-  /// last one and hands it to `on_checkpoint`. Snapshots quiesce each
-  /// session before serializing it and mutate nothing, so enabling
-  /// checkpoints leaves the served epoch stream bit-identical.
+  /// Periodic checkpointing: when > 0 and `checkpoint_dir` is set,
+  /// submit() writes a checkpoint wave (checkpoint_wave_now) whenever at
+  /// least this many microseconds (by `now_us`) have passed since the
+  /// last one. Waves serialize each session with its strand held and
+  /// change nothing a later epoch reads, so enabling checkpoints leaves
+  /// the served epoch stream bit-identical.
   std::uint64_t checkpoint_period_us{0};
-  std::function<void(const std::vector<std::uint8_t>& snapshot)>
-      on_checkpoint;
-  /// Durable delta-chain checkpointing (svc/delta.h). When non-empty,
-  /// periodic checkpoints write wave files into this directory (keyframe
-  /// + dirty-session deltas) instead of full snapshots through
-  /// `on_checkpoint`. Pair with restore_chain() at startup.
+  /// Durable delta-chain checkpointing (svc/delta.h): the directory the
+  /// periodic waves (keyframe + dirty-session deltas) are written to.
+  /// Pair with restore_chain() at startup.
   std::string checkpoint_dir;
   /// Every Nth wave is a full keyframe (bounds both recovery length and
   /// how long a departed session's bytes linger in the chain). Waves in
@@ -167,10 +159,10 @@ class LocalizationServer : public Endpoint {
   std::size_t evict_idle();
 
   /// Serialize every live session into a versioned snapshot
-  /// (svc/checkpoint.h). Each session is quiesced (waited idle) before it
-  /// is serialized, so its payload is a consistent post-epoch state; no
-  /// session state is mutated, so a run with snapshots interleaved is
-  /// bit-identical to one without.
+  /// (svc/checkpoint.h). Each session is serialized with its strand held
+  /// (Session::run_exclusive), so its payload is a consistent post-epoch
+  /// state; no session state is mutated, so a run with snapshots
+  /// interleaved is bit-identical to one without.
   std::vector<std::uint8_t> snapshot();
 
   /// Replace the entire session population with the snapshot's. Sessions
@@ -228,11 +220,13 @@ class LocalizationServer : public Endpoint {
   /// quiet would otherwise leave its last epochs off the chain.
   void checkpoint_wave_now();
 
-  /// Remove one session for migration: pin it against TTL eviction, wait
-  /// for its strand to drain (quiesce), serialize it as a standalone
-  /// kMigrate payload (snapshot header + one session record), then erase
-  /// it from this server. Subsequent frames for the id get
-  /// kUnknownSession. nullopt when the id is not live here.
+  /// Remove one session for migration: pin it against TTL eviction and
+  /// close it (Session::close), then -- with its strand held -- serialize
+  /// it as a standalone kMigrate payload (snapshot header + one session
+  /// record) and erase it from this server. Every epoch the session
+  /// accepted before the close is in the payload; every frame after it
+  /// gets kUnknownSession, the client's re-hello signal. nullopt when the
+  /// id is not live here.
   std::optional<std::vector<std::uint8_t>> extract_session(std::uint64_t id);
 
   /// Install a session from a kMigrate payload produced by
@@ -306,15 +300,22 @@ class LocalizationServer : public Endpoint {
                  std::uint64_t session_id, const Promise& promise,
                  obs::Stopwatch accepted_at, obs::SpanHandle root,
                  obs::SpanHandle queue_wait);
-  /// Take a periodic snapshot when the checkpoint period elapsed.
+  /// Write a periodic wave when the checkpoint period elapsed.
   void maybe_checkpoint();
+  /// Rebuild one session from the record `r` is positioned at (its
+  /// header already read into `rec`): factory, restore_from with the
+  /// framing check, create, restore_bookkeeping. The shared tail of
+  /// restore() and adopt_session(). nullopt on success, else kMalformed
+  /// (codec or framing violation) or kSessionExists (id already live).
+  std::optional<ErrorCode> install_session(offload::ByteReader& r,
+                                           const SessionRecordHeader& rec,
+                                           bool quantized);
 
   ServerConfig cfg_;
   UnilocFactory factory_;
   obs::MetricsRegistry* registry_{nullptr};  ///< For statusz dumps.
   SessionManager sessions_;
   ThreadPool pool_;
-  EpochBatcher batcher_;
   Instruments ins_;
   std::mutex lifecycle_mu_;  ///< Guards stopping_ + accepted_count_.
   bool stopping_{false};

@@ -8,6 +8,7 @@ namespace uniloc::svc {
 Session::Enqueue Session::enqueue(Task task, std::size_t capacity,
                                   std::uint64_t now_us) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return Enqueue::kClosed;
   if (inbox_count_ >= capacity) return Enqueue::kBackpressure;
   if (inbox_count_ == inbox_.size()) {
     // Ring full: rotate the live span to the front of a larger vector.
@@ -73,6 +74,11 @@ void Session::run_exclusive(const Task& fn) {
   // queued behind the critical section run now, in arrival order, as if
   // a worker had picked up the drain.
   drain();
+}
+
+void Session::close() {
+  std::lock_guard<std::mutex> lock(mu_);
+  closed_ = true;
 }
 
 bool Session::idle() const {

@@ -11,6 +11,7 @@
 //     case kStartDrain:  pool.post([s]{ s->drain(); });  // first task
 //     case kQueued:      break;          // a drain is already running
 //     case kBackpressure: reject;        // inbox full -- explicit signal
+//     case kClosed:      reject;         // session extracted (migration)
 //   }
 //
 // The SessionManager shards sessions over `stripes` independently-locked
@@ -39,6 +40,7 @@ class Session {
     kStartDrain,    ///< Accepted; caller must schedule drain().
     kQueued,        ///< Accepted; an active drain will pick it up.
     kBackpressure,  ///< Inbox full; task was NOT accepted.
+    kClosed,        ///< Session closed (see close()); NOT accepted.
   };
 
   Session(std::uint64_t id, std::unique_ptr<core::Uniloc> uniloc)
@@ -60,8 +62,8 @@ class Session {
   };
   PerfCursor& perf_cursor() { return perf_cursor_; }
 
-  /// Accept `task` unless `capacity` tasks are already pending.
-  /// Also stamps last-active to `now_us`.
+  /// Accept `task` unless `capacity` tasks are already pending or the
+  /// session is closed. Also stamps last-active to `now_us`.
   Enqueue enqueue(Task task, std::size_t capacity, std::uint64_t now_us);
 
   /// Run every pending task in order, then go idle. Called by exactly one
@@ -76,6 +78,13 @@ class Session {
   /// queue behind the critical section and are drained -- in arrival
   /// order, on this thread -- before run_exclusive returns.
   void run_exclusive(const Task& fn);
+
+  /// Refuse every later enqueue (kClosed). Tasks accepted before the
+  /// close still run: the drain in progress (or the one run_exclusive
+  /// hands the strand back to) empties the inbox. Set by migration
+  /// before it serializes the session, so the serialized state holds
+  /// every accepted epoch and no epoch runs after the state has left.
+  void close();
 
   /// True when no task is queued or running (eviction safety check).
   bool idle() const;
@@ -121,15 +130,15 @@ class Session {
   mutable std::mutex mu_;
   /// Pending-task ring: index math over a never-shrinking vector rather
   /// than std::deque, whose block cursor allocates a fresh node every
-  /// ~16 tasks even in steady push/pop cycles. The batched drain path's
-  /// contract is zero steady-state allocations
-  /// (tests/test_perf_contracts.cc), so the ring grows geometrically on
-  /// demand and then recycles its slots forever.
+  /// ~16 tasks even in steady push/pop cycles. The ring grows
+  /// geometrically on demand and then recycles its slots forever, so a
+  /// warmed-up session's enqueue/drain cycle allocates nothing.
   std::vector<Task> inbox_;
   std::size_t inbox_head_{0};
   std::size_t inbox_count_{0};
   bool draining_{false};
   bool pinned_{false};
+  bool closed_{false};
   std::uint64_t last_active_us_{0};
   std::size_t epochs_served_{0};
   /// Monotonic state-change counter vs. the mark the last checkpoint

@@ -35,6 +35,7 @@
 #include "sim/virtual_clock.h"
 #include "stats/rng_codec.h"
 #include "svc/checkpoint.h"
+#include "svc/delta.h"
 #include "svc/epoch_codec.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
@@ -347,24 +348,21 @@ TEST(ServerSnapshot, BitFlipsNeverCrashTheRestorer) {
 
 // ------------------------------------------------------- checkpoint files
 
-TEST(CheckpointFile, AtomicWriteReadRoundTrip) {
-  const std::string dir = "/tmp/uniloc_ckpt_test";
-  std::filesystem::create_directories(dir);
-  const std::vector<std::uint8_t> bytes = {1, 2, 3, 0xFF, 0, 42};
-  ASSERT_TRUE(svc::write_checkpoint_file(dir, bytes));
-  const auto back = svc::read_checkpoint_file(dir);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, bytes);
-  // Overwrite is atomic-replace, not append.
-  const std::vector<std::uint8_t> second = {9, 9};
-  ASSERT_TRUE(svc::write_checkpoint_file(dir, second));
-  EXPECT_EQ(*svc::read_checkpoint_file(dir), second);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(CheckpointFile, MissingDirectoryOrFileReportsFailure) {
-  EXPECT_FALSE(svc::write_checkpoint_file("/nonexistent_dir_xyz", {1}));
-  EXPECT_FALSE(svc::read_checkpoint_file("/nonexistent_dir_xyz").has_value());
+  // A wave file cannot be published into a missing directory, and loading
+  // from one finds no chain to restore.
+  const std::string missing = "/nonexistent_dir_xyz";
+  EXPECT_FALSE(svc::write_wave_file(missing, 1, {1}));
+  EXPECT_TRUE(svc::load_wave_files(missing).empty());
+  EXPECT_FALSE(svc::collapse_chain(svc::load_wave_files(missing)).ok);
+
+  // An existing but empty directory likewise holds no restorable chain.
+  const std::string dir = "/tmp/uniloc_ckpt_missing_file_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(svc::load_wave_files(dir).empty());
+  EXPECT_FALSE(svc::collapse_chain(svc::load_wave_files(dir)).ok);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------- crash-recovery differential
@@ -446,19 +444,20 @@ TEST(CrashRecovery, SixteenSeedSweepBitIdentical) {
 
 TEST(PeriodicCheckpoint, FiresOnScheduleAndDoesNotPerturbTheRun) {
   const core::Deployment& d = campus_deployment();
+  const std::string dir = "/tmp/uniloc_periodic_ckpt_test";
+  constexpr std::uint64_t kPeriodUs = 2'000'000;  // every 4 rounds at 0.5 s
 
-  const auto run_once = [&d](bool with_checkpoints,
-                             std::vector<std::uint8_t>* last,
-                             std::size_t* fired) {
+  // Rounds at which the wave count changed, by the virtual clock.
+  std::vector<std::uint64_t> wave_times;
+  const auto run_once = [&](bool with_checkpoints) {
     sim::VirtualClock clock;
     svc::ServerConfig cfg;
     cfg.now_us = clock.now_fn();
     if (with_checkpoints) {
-      cfg.checkpoint_period_us = 2'000'000;  // every 4 rounds at 0.5 s
-      cfg.on_checkpoint = [last, fired](const std::vector<std::uint8_t>& b) {
-        if (last != nullptr) *last = b;
-        if (fired != nullptr) ++*fired;
-      };
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+      cfg.checkpoint_period_us = kPeriodUs;
+      cfg.checkpoint_dir = dir;
     }
     svc::LocalizationServer server(cfg, factory_for(d), nullptr);
     svc::LoadGenConfig lg;
@@ -466,22 +465,37 @@ TEST(PeriodicCheckpoint, FiresOnScheduleAndDoesNotPerturbTheRun) {
     lg.max_epochs_per_walker = 12;
     lg.clock = &clock;
     lg.resilience.record_timeline = true;
+    std::uint64_t waves = 0;
+    lg.on_round = [&](std::size_t) {
+      const std::uint64_t now = server.checkpoint_stats().waves;
+      if (now != waves) wave_times.push_back(clock.now_us());
+      waves = now;
+    };
     return run_load(server, d, lg, nullptr);
   };
 
-  std::vector<std::uint8_t> last;
-  std::size_t fired = 0;
-  const svc::LoadReport plain = run_once(false, nullptr, nullptr);
-  const svc::LoadReport checkpointed = run_once(true, &last, &fired);
-  EXPECT_GT(fired, 1u);
-  ASSERT_FALSE(last.empty());
+  const svc::LoadReport plain = run_once(false);
+  ASSERT_TRUE(wave_times.empty());
+  const svc::LoadReport checkpointed = run_once(true);
   expect_identical_reports(plain, checkpointed, "periodic checkpoints");
 
-  // The last periodic checkpoint is a valid restore source.
-  svc::LocalizationServer restored(svc::ServerConfig{}, factory_for(d),
-                                   nullptr);
-  EXPECT_TRUE(restored.restore(last));
+  // On schedule: more than one wave, never two within one period.
+  ASSERT_GT(wave_times.size(), 1u);
+  for (std::size_t i = 1; i < wave_times.size(); ++i) {
+    EXPECT_GE(wave_times[i] - wave_times[i - 1], kPeriodUs) << "wave " << i;
+  }
+
+  // The chain the periodic waves left behind is a valid restore source.
+  svc::ServerConfig rcfg;
+  rcfg.checkpoint_dir = dir;
+  svc::LocalizationServer restored(rcfg, factory_for(d), nullptr);
+  const svc::LocalizationServer::ChainRestoreResult chain =
+      restored.restore_chain();
+  EXPECT_TRUE(chain.ok);
+  EXPECT_EQ(chain.waves_rejected, 0u);
+  EXPECT_EQ(chain.deltas_applied + 1, wave_times.size());
   EXPECT_EQ(restored.live_sessions(), 4u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -119,9 +119,9 @@ TEST(WaveCodec, BuildDecodeRoundTrip) {
   h.parent_seq = 8;
   h.accepted_since_scan = 5;
   svc::WaveBuilder b(h, {3, 7, 11});
-  offload::ByteWriter& w = b.begin_session(7, 1000, 4);
-  w.put_u32(0xDEADBEEF);
-  b.end_session();
+  svc::write_session_record(
+      b.next_record(), 7, 1000, 4,
+      [](offload::ByteWriter& w) { w.put_u32(0xDEADBEEF); });
   const std::vector<std::uint8_t> bytes = b.finish();
 
   svc::WaveView v;
@@ -143,8 +143,8 @@ TEST(WaveCodec, RejectsStructuralDamage) {
   h.kind = svc::kWaveKeyframe;
   h.seq = 1;
   svc::WaveBuilder b(h, {5});
-  b.begin_session(5, 0, 0).put_u8(1);
-  b.end_session();
+  svc::write_session_record(b.next_record(), 5, 0, 0,
+                            [](offload::ByteWriter& w) { w.put_u8(1); });
   const std::vector<std::uint8_t> good = b.finish();
   svc::WaveView v;
   ASSERT_TRUE(svc::decode_wave(good, v));
@@ -176,8 +176,8 @@ TEST(WaveCodec, RejectsInconsistentHeaders) {
     h.parent_seq = parent;
     svc::WaveBuilder b(h, members);
     for (const std::uint64_t id : record_ids) {
-      b.begin_session(id, 0, 0).put_u8(9);
-      b.end_session();
+      svc::write_session_record(b.next_record(), id, 0, 0,
+                                [](offload::ByteWriter& w) { w.put_u8(9); });
     }
     return b.finish();
   };
@@ -203,9 +203,10 @@ TEST(WaveCodec, FuzzedBuffersNeverCrashTheDecoder) {
   h.seq = 3;
   svc::WaveBuilder b(h, {1, 2});
   for (const std::uint64_t id : {1ull, 2ull}) {
-    offload::ByteWriter& w = b.begin_session(id, 77, 8);
-    for (int i = 0; i < 40; ++i) w.put_u8(static_cast<std::uint8_t>(i));
-    b.end_session();
+    svc::write_session_record(
+        b.next_record(), id, 77, 8, [](offload::ByteWriter& w) {
+          for (int i = 0; i < 40; ++i) w.put_u8(static_cast<std::uint8_t>(i));
+        });
   }
   const std::vector<std::uint8_t> good = b.finish();
 

@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "core/epoch_scratch.h"
@@ -36,9 +35,6 @@
 #include "sim/builders.h"
 #include "sim/walker.h"
 #include "stats/simd.h"
-#include "svc/batcher.h"
-#include "svc/session_manager.h"
-#include "svc/thread_pool.h"
 #include "testing_util.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -347,92 +343,6 @@ TEST(PerfContracts, AllDistancesIntoMatchesReference) {
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(ref[i], got[i]) << "fingerprint " << i;
-  }
-}
-
-// ------------------------------------------------- epoch batching
-
-// Sessions for driving the EpochBatcher in isolation: the Uniloc is never
-// touched (tasks are plain closures), so a null ensemble is fine.
-svc::SessionPtr bare_session(std::uint64_t id) {
-  return std::make_shared<svc::Session>(id, nullptr);
-}
-
-#if UNILOC_ALLOC_COUNTING
-
-TEST(PerfContracts, EpochBatcherSteadyStateIsAllocationFree) {
-  // After one warmup burst has grown the FIFO to capacity, handing a
-  // burst of drainable sessions to the batcher must not allocate: the
-  // head-indexed vector is compacted in place and sessions travel by
-  // shared_ptr. (The tasks themselves run too -- inline pool -- so the
-  // count covers the whole batched drain path.)
-  svc::ThreadPool pool({.workers = 0, .queue_capacity = 64});
-  svc::EpochBatcher batcher(pool, /*max_batch=*/4, /*max_runners=*/1);
-  std::vector<svc::SessionPtr> sessions;
-  for (std::uint64_t id = 1; id <= 8; ++id) {
-    sessions.push_back(bare_session(id));
-  }
-  std::uint64_t ran = 0;
-  const auto one_burst = [&] {
-    for (const svc::SessionPtr& s : sessions) {
-      // Pointer-capture lambda: fits std::function's small-buffer slot.
-      if (s->enqueue([&ran] { ++ran; }, /*capacity=*/8, /*now_us=*/0) ==
-          svc::Session::Enqueue::kStartDrain) {
-        batcher.submit(s);
-      }
-    }
-  };
-  for (int warmup = 0; warmup < 3; ++warmup) one_burst();
-  const std::uint64_t before = ran;
-
-  begin_counting();
-  for (int i = 0; i < 20; ++i) one_burst();
-  const std::uint64_t allocs = end_counting();
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(ran, before + 20u * sessions.size());
-  EXPECT_EQ(batcher.pending(), 0u);
-}
-
-#endif  // UNILOC_ALLOC_COUNTING
-
-TEST(PerfContracts, BatchAssemblyNeverReordersEpochsWithinASession) {
-  // Concurrent runners (workers=2, max_batch=4) drain interleaved bursts
-  // from several sessions; every session must observe its own epochs in
-  // exact submission order -- the strand + kStartDrain handshake, not
-  // timing, is what guarantees it.
-  constexpr std::size_t kSessions = 3;
-  constexpr int kEpochs = 200;
-  svc::ThreadPool pool({.workers = 2, .queue_capacity = 1024});
-  svc::EpochBatcher batcher(pool, /*max_batch=*/4, /*max_runners=*/2);
-  std::vector<svc::SessionPtr> sessions;
-  std::vector<std::vector<int>> seen(kSessions);
-  for (std::uint64_t id = 0; id < kSessions; ++id) {
-    sessions.push_back(bare_session(id + 1));
-    seen[id].reserve(kEpochs);
-  }
-  for (int e = 0; e < kEpochs; ++e) {
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      // The strand serializes a session's tasks, so its `seen` vector is
-      // only ever appended from one worker at a time.
-      std::vector<int>* log = &seen[s];
-      for (;;) {
-        const svc::Session::Enqueue rc = sessions[s]->enqueue(
-            [log, e] { log->push_back(e); }, /*capacity=*/8, /*now_us=*/0);
-        if (rc == svc::Session::Enqueue::kStartDrain) batcher.submit(sessions[s]);
-        if (rc != svc::Session::Enqueue::kBackpressure) break;
-        // Inbox full: wait for the runners to catch up, then retry so
-        // every epoch is delivered (the ordering check needs all 200).
-        std::this_thread::yield();
-      }
-    }
-  }
-  pool.shutdown();
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    ASSERT_EQ(seen[s].size(), static_cast<std::size_t>(kEpochs))
-        << "session " << s;
-    for (int e = 0; e < kEpochs; ++e) {
-      ASSERT_EQ(seen[s][e], e) << "session " << s << " position " << e;
-    }
   }
 }
 

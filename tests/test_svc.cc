@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/runner.h"
@@ -142,6 +146,65 @@ TEST(Session, TaskEnqueuedDuringDrainIsPickedUp) {
             Session::Enqueue::kStartDrain);
   s.drain();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_TRUE(s.idle());
+}
+
+TEST(Session, PoolDrainsNeverReorderEpochsWithinASession) {
+  // Two workers drain interleaved bursts from several sessions, each
+  // drain posted on its kStartDrain handshake exactly as the server
+  // dispatches epochs. Every session must observe its own epochs in
+  // exact submission order -- the strand + kStartDrain handshake, not
+  // timing, is what guarantees it.
+  constexpr std::size_t kSessions = 3;
+  constexpr int kEpochs = 200;
+  ThreadPool pool({.workers = 2, .queue_capacity = 1024});
+  std::vector<SessionPtr> sessions;
+  std::vector<std::vector<int>> seen(kSessions);
+  for (std::uint64_t id = 0; id < kSessions; ++id) {
+    sessions.push_back(std::make_shared<Session>(id + 1, nullptr));
+    seen[id].reserve(kEpochs);
+  }
+  for (int e = 0; e < kEpochs; ++e) {
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      // The strand serializes a session's tasks, so its `seen` vector is
+      // only ever appended from one worker at a time.
+      std::vector<int>* log = &seen[s];
+      for (;;) {
+        const Session::Enqueue rc = sessions[s]->enqueue(
+            [log, e] { log->push_back(e); }, /*capacity=*/8, /*now_us=*/0);
+        if (rc == Session::Enqueue::kStartDrain) {
+          const SessionPtr session = sessions[s];
+          ASSERT_TRUE(pool.post([session] { session->drain(); }));
+        }
+        if (rc != Session::Enqueue::kBackpressure) break;
+        // Inbox full: wait for the workers to catch up, then retry so
+        // every epoch is delivered (the ordering check needs all 200).
+        std::this_thread::yield();
+      }
+    }
+  }
+  pool.shutdown();
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    ASSERT_EQ(seen[s].size(), static_cast<std::size_t>(kEpochs))
+        << "session " << s;
+    for (int e = 0; e < kEpochs; ++e) {
+      ASSERT_EQ(seen[s][e], e) << "session " << s << " position " << e;
+    }
+  }
+}
+
+TEST(Session, ClosedSessionRefusesNewTasksButRunsAcceptedOnes) {
+  Session s(1, nullptr);
+  int ran = 0;
+  ASSERT_EQ(s.enqueue([&ran] { ++ran; }, 8, 1),
+            Session::Enqueue::kStartDrain);
+  s.close();
+  EXPECT_EQ(s.enqueue([&ran] { ran += 100; }, 8, 2),
+            Session::Enqueue::kClosed);
+  s.drain();
+  EXPECT_EQ(ran, 1);  // the task accepted before the close still ran
+  EXPECT_EQ(s.epochs_served(), 1u);
+  EXPECT_EQ(s.last_active_us(), 1u);  // a refused task stamps nothing
   EXPECT_TRUE(s.idle());
 }
 
@@ -508,6 +571,49 @@ TEST(Server, SessionLifecycleErrors) {
             ErrorCode::kShuttingDown);
 }
 
+TEST(Server, DuplicateHelloIsRefusedBeforeTheFactoryRuns) {
+  ServerFixture fx;
+  std::size_t builds = 0;
+  const UnilocFactory build = fx.factory();
+  LocalizationServer server(
+      {}, [&builds, &build](std::uint64_t sid) {
+        ++builds;
+        return build(sid);
+      });
+  LocalizationServer control({}, fx.factory());
+
+  sim::WalkConfig wc;
+  wc.seed = 21;
+  sim::Walker walker(fx.office.place.get(), fx.office.radio.get(), 0, wc);
+  offload::PhoneAgent phone;
+  phone.reset(walker.start_heading());
+  const std::vector<std::uint8_t> hello =
+      hello_frame(3, walker.start_position(), walker.start_heading());
+  ASSERT_EQ(get_reply(server, hello).type, FrameType::kReply);
+  ASSERT_EQ(get_reply(control, hello).type, FrameType::kReply);
+  ASSERT_EQ(builds, 1u);
+
+  // The duplicate (even with a different start pose) is refused without
+  // building an ensemble.
+  EXPECT_EQ(error_code(get_reply(server, hello_frame(3, {5.0, 5.0}, 1.0))),
+            ErrorCode::kSessionExists);
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(server.live_sessions(), 1u);
+
+  // The live session is untouched: its replies are byte-identical to a
+  // server that never saw the duplicate.
+  for (int i = 0; i < 5 && !walker.done(); ++i) {
+    const sim::SensorFrame f = walker.step(true);
+    Frame req;
+    req.type = FrameType::kEpoch;
+    req.session_id = 3;
+    req.payload = encode_epoch(phone.reduce(f), f);
+    const std::vector<std::uint8_t> bytes = encode_frame(req);
+    EXPECT_EQ(server.submit(bytes).get(), control.submit(bytes).get())
+        << "epoch " << i;
+  }
+}
+
 TEST(Server, InboxFullAnswersBackpressure) {
   ServerFixture fx;
   obs::MetricsRegistry reg;
@@ -794,6 +900,78 @@ TEST(Migrate, ExtractedSessionEpochGetsUnknownSessionThenRehello) {
   EXPECT_EQ(get_reply(a, hello_frame(4, {0, 0}, 0.0)).type,
             FrameType::kReply);
   EXPECT_EQ(a.live_sessions(), 1u);
+}
+
+/// A scheme whose snapshot re-enters the server: serializing it submits
+/// an epoch for its own session, i.e. from inside the exclusive section
+/// extract_session holds while it serializes. The reply future is kept,
+/// not waited on, so a regression fails the test instead of hanging it.
+class ReentrantProbeScheme final : public schemes::LocalizationScheme {
+ public:
+  struct Probe {
+    LocalizationServer* server{nullptr};
+    std::optional<std::future<std::vector<std::uint8_t>>> reply;
+  };
+
+  ReentrantProbeScheme(Probe* probe, std::uint64_t sid)
+      : probe_(probe), sid_(sid) {}
+
+  std::string name() const override { return "Probe"; }
+  schemes::SchemeFamily family() const override {
+    return schemes::SchemeFamily::kOther;
+  }
+  void reset(const schemes::StartCondition&) override {}
+  schemes::SchemeOutput update(const sim::SensorFrame&) override {
+    return {};
+  }
+  void snapshot_into(offload::ByteWriter&,
+                     const schemes::SnapshotContext&) const override {
+    if (probe_->server == nullptr || probe_->reply.has_value()) return;
+    Frame epoch;
+    epoch.type = FrameType::kEpoch;
+    epoch.session_id = sid_;
+    epoch.payload = encode_epoch({}, sim::SensorFrame{});
+    probe_->reply = probe_->server->submit(encode_frame(epoch));
+  }
+
+ private:
+  Probe* probe_;
+  std::uint64_t sid_;
+};
+
+TEST(Migrate, EpochArrivingDuringExtractionIsRefusedAndNeverRuns) {
+  // An epoch routed to the source before a migration began can reach it
+  // while extract_session serializes the session. It must be refused
+  // (kUnknownSession, the re-hello signal) and never run: running it
+  // would either race the serialization or advance state that has
+  // already left for the target.
+  ServerFixture fx;
+  ReentrantProbeScheme::Probe probe;
+  std::size_t served = 0;
+  ServerConfig cfg;  // workers = 0: the whole interleaving is inline
+  cfg.on_epoch = [&served](std::uint64_t, const core::EpochDecision&) {
+    ++served;
+  };
+  const UnilocFactory build = fx.factory();
+  LocalizationServer server(cfg, [&](std::uint64_t sid) {
+    std::unique_ptr<core::Uniloc> uniloc = build(sid);
+    uniloc->add_scheme(std::make_unique<ReentrantProbeScheme>(&probe, sid),
+                       core::ErrorModel::constant(5.0, 2.0));
+    return uniloc;
+  });
+  probe.server = &server;
+  ASSERT_EQ(get_reply(server, hello_frame(4, {0, 0}, 0.0)).type,
+            FrameType::kReply);
+
+  ASSERT_TRUE(server.extract_session(4).has_value());
+  ASSERT_TRUE(probe.reply.has_value());
+  ASSERT_EQ(probe.reply->wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const DecodeResult reply = decode_frame(probe.reply->get());
+  ASSERT_TRUE(reply.frame.has_value());
+  EXPECT_EQ(error_code(*reply.frame), ErrorCode::kUnknownSession);
+  EXPECT_EQ(served, 0u);
+  EXPECT_EQ(server.live_sessions(), 0u);
 }
 
 // ----------------------------------------------------- loadgen + determinism
