@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <random>
 
+#include "stats/mt19937_64.h"
+
 namespace uniloc::stats {
 
 /// splitmix64 hash step; good avalanche, cheap, stable across platforms.
@@ -29,13 +31,15 @@ constexpr double hash_to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// Seeded mersenne-twister engine wrapper with convenience draws.
+/// Seeded mersenne-twister engine wrapper with convenience draws. The
+/// engine draws the same stream as std::mt19937_64 and exposes its state
+/// to the snapshot codec (stats/rng_codec.h).
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  std::mt19937_64& engine() { return engine_; }
-  const std::mt19937_64& engine() const { return engine_; }
+  Mt19937_64& engine() { return engine_; }
+  const Mt19937_64& engine() const { return engine_; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0) {
@@ -63,7 +67,7 @@ class Rng {
   }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace uniloc::stats

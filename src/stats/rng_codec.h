@@ -1,58 +1,46 @@
-// Binary snapshot codec for the mt19937_64 engines hoisted into the
+// Binary snapshot codec for the Mt19937_64 engines hoisted into the
 // filters.
 //
-// The standard guarantees an engine round-trips through its textual
-// stream representation (a whitespace-separated list of decimal words:
-// the 312 state words followed by the read position). We re-encode those
-// tokens as fixed-width little-endian u64s -- ~2.5 KB per engine instead
-// of ~7 KB of ASCII -- and validate on restore: the token count must be
+// The encoding is a u32 token count followed by that many little-endian
+// u64 tokens: the 312 state words, then the read position -- the token
+// list of the standard engine's textual stream representation, stored
+// fixed-width (~2.5 KB per engine instead of ~7 KB of ASCII). The words
+// are copied straight out of the engine (stats/mt19937_64.h); the test
+// suite keeps the iostream-token encoding as the format oracle. Restore
+// validates before it touches the engine: the token count must be
 // exactly state_size + 1 and the position token must not index past the
-// state array, so a bit-flipped snapshot is rejected instead of leaving
-// the engine reading out of bounds.
+// state array, so a bit-flipped or truncated snapshot is rejected
+// instead of leaving the engine reading out of bounds.
 #pragma once
 
-#include <random>
-#include <sstream>
-#include <vector>
+#include <cstdint>
 
 #include "offload/bytes.h"
+#include "stats/mt19937_64.h"
 
 namespace uniloc::stats {
 
-inline void snapshot_engine(const std::mt19937_64& engine,
-                            offload::ByteWriter& w) {
-  std::ostringstream os;
-  os << engine;
-  std::istringstream is(os.str());
-  std::vector<std::uint64_t> tokens;
-  std::uint64_t t;
-  while (is >> t) tokens.push_back(t);
-  w.put_u32(static_cast<std::uint32_t>(tokens.size()));
-  for (const std::uint64_t token : tokens) w.put_u64(token);
+inline constexpr std::uint32_t kEngineTokens = Mt19937_64::state_size + 1;
+
+inline void snapshot_engine(const Mt19937_64& engine, offload::ByteWriter& w) {
+  w.put_u32(kEngineTokens);
+  for (const std::uint64_t word : engine.state()) w.put_u64(word);
+  w.put_u64(engine.position());
 }
 
-inline bool restore_engine(std::mt19937_64& engine, offload::ByteReader& r) {
-  constexpr std::size_t kTokens = std::mt19937_64::state_size + 1;
+inline bool restore_engine(Mt19937_64& engine, offload::ByteReader& r) {
   std::uint32_t count;
-  if (!r.get_u32(count) || count != kTokens) return false;
-  std::ostringstream os;
-  std::uint64_t last = 0;
-  for (std::size_t i = 0; i < kTokens; ++i) {
-    std::uint64_t token;
-    if (!r.get_u64(token)) return false;
-    if (i > 0) os << ' ';
-    os << token;
-    last = token;
+  if (!r.get_u32(count) || count != kEngineTokens) return false;
+  Mt19937_64::State words{};
+  for (std::uint64_t& word : words) {
+    if (!r.get_u64(word)) return false;
   }
-  // The final token is the read position; past-the-end would make the
-  // next draw index out of bounds inside the engine.
-  if (last > std::mt19937_64::state_size) return false;
-  std::istringstream is(os.str());
-  std::mt19937_64 restored;
-  is >> restored;
-  if (is.fail()) return false;
-  engine = restored;
-  return true;
+  std::uint64_t position;
+  if (!r.get_u64(position)) return false;
+  // A past-the-end position would make the next draw index out of bounds
+  // inside the engine (checked on the u64, before any narrowing).
+  return position <= Mt19937_64::state_size &&
+         engine.set_state(words, static_cast<std::size_t>(position));
 }
 
 }  // namespace uniloc::stats

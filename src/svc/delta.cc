@@ -12,7 +12,9 @@
 namespace uniloc::svc {
 
 WaveBuilder::WaveBuilder(const WaveHeader& header,
-                         const std::vector<std::uint64_t>& members) {
+                         const std::vector<std::uint64_t>& members,
+                         std::size_t reserve_bytes) {
+  w_.reserve(reserve_bytes);
   w_.put_u32(kWaveMagic);
   w_.put_u8(kWaveFormatVersion);
   w_.put_u8(header.kind);

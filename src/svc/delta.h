@@ -62,8 +62,11 @@ struct WaveHeader {
 /// staging buffer) by write_session_record (svc/checkpoint.h).
 class WaveBuilder {
  public:
+  /// `reserve_bytes` pre-sizes the buffer (the server passes its previous
+  /// wave's size) so a megabyte wave is not grown by repeated doubling.
   WaveBuilder(const WaveHeader& header,
-              const std::vector<std::uint64_t>& members);
+              const std::vector<std::uint64_t>& members,
+              std::size_t reserve_bytes = 0);
 
   /// Count one more session record and return the writer to append it
   /// to: exactly one write_session_record call per next_record. Sessions

@@ -518,10 +518,12 @@ std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
   h.kind = keyframe ? kWaveKeyframe : kWaveDelta;
   h.payload_version =
       cfg_.snapshot_quantize ? kSnapshotVersionQuantized : kSnapshotVersion;
+  std::size_t reserve_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
     h.seq = ++wave_seq_;
     h.parent_seq = keyframe ? 0 : h.seq - 1;
+    reserve_bytes = last_wave_bytes_;
   }
   {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -531,7 +533,7 @@ std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
   std::vector<std::uint64_t> members;
   members.reserve(sessions.size());
   for (const SessionPtr& s : sessions) members.push_back(s->id());
-  WaveBuilder builder(h, members);
+  WaveBuilder builder(h, members, reserve_bytes);
   std::uint64_t records = 0;
   for (const SessionPtr& s : sessions) {
     // The dirty check races benignly with live traffic: a session that
@@ -549,6 +551,7 @@ std::vector<std::uint8_t> LocalizationServer::snapshot_wave(bool keyframe) {
   std::vector<std::uint8_t> bytes = builder.finish();
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
+    last_wave_bytes_ = bytes.size();
     ++ckpt_stats_.waves;
     if (keyframe) {
       ++ckpt_stats_.keyframes;

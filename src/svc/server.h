@@ -327,6 +327,7 @@ class LocalizationServer : public Endpoint {
   mutable std::mutex chain_mu_;
   std::uint64_t wave_seq_{0};
   std::size_t waves_since_keyframe_{0};
+  std::size_t last_wave_bytes_{0};  ///< Reserve hint for the next wave.
   /// Start keyframed; also re-set after a chain restore or a publish
   /// failure so the chain re-anchors instead of chaining onto a wave
   /// that may not be durable.

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@
 #include "svc/loadgen.h"
 #include "svc/server.h"
 #include "svc/wire.h"
+#include "rng_codec_oracle.h"
 #include "testing_util.h"
 
 namespace uniloc {
@@ -100,7 +102,7 @@ void expect_identical_reports(const svc::LoadReport& ref,
 // ------------------------------------------------------------ codec units
 
 TEST(RngCodec, EngineRoundTripContinuesStreamExactly) {
-  std::mt19937_64 original(12345);
+  stats::Mt19937_64 original(12345);
   for (int i = 0; i < 1000; ++i) original();  // mid-stream position
 
   offload::ByteWriter w;
@@ -108,17 +110,19 @@ TEST(RngCodec, EngineRoundTripContinuesStreamExactly) {
   const std::vector<std::uint8_t> bytes = w.take();
 
   offload::ByteReader r(bytes.data(), bytes.size());
-  std::mt19937_64 restored;
+  stats::Mt19937_64 restored;
   ASSERT_TRUE(stats::restore_engine(restored, r));
   EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(restored, original);
   for (int i = 0; i < 5000; ++i) {
     ASSERT_EQ(original(), restored()) << "draw " << i;
   }
 }
 
 TEST(RngCodec, RejectsWrongTokenCountAndHostilePosition) {
-  constexpr std::size_t kState = std::mt19937_64::state_size;
-  std::mt19937_64 engine(1);
+  constexpr std::size_t kState = stats::Mt19937_64::state_size;
+  stats::Mt19937_64 engine(1);
+  const stats::Mt19937_64 before = engine;
   {
     offload::ByteWriter w;
     w.put_u32(static_cast<std::uint32_t>(kState));  // one token short
@@ -138,6 +142,87 @@ TEST(RngCodec, RejectsWrongTokenCountAndHostilePosition) {
     offload::ByteReader r(bytes.data(), bytes.size());
     EXPECT_FALSE(stats::restore_engine(engine, r));
   }
+  {
+    // Only the low bits of a huge position would fit a narrower index.
+    offload::ByteWriter w;
+    w.put_u32(static_cast<std::uint32_t>(kState + 1));
+    for (std::size_t i = 0; i < kState; ++i) w.put_u64(i + 1);
+    w.put_u64((std::uint64_t{1} << 32) + 5);
+    const std::vector<std::uint8_t> bytes = w.take();
+    offload::ByteReader r(bytes.data(), bytes.size());
+    EXPECT_FALSE(stats::restore_engine(engine, r));
+  }
+  EXPECT_EQ(engine, before);  // rejected input never touches the engine
+}
+
+TEST(RngCodec, RejectsEveryTruncationWithoutTouchingTheEngine) {
+  stats::Mt19937_64 original(404);
+  for (int i = 0; i < 77; ++i) original();
+  offload::ByteWriter w;
+  stats::snapshot_engine(original, w);
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  stats::Mt19937_64 engine(9);
+  const stats::Mt19937_64 before = engine;
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    offload::ByteReader r(bytes.data(), len);
+    ASSERT_FALSE(stats::restore_engine(engine, r)) << "prefix " << len;
+    ASSERT_EQ(engine, before) << "prefix " << len;
+  }
+}
+
+/// The test-side iostream codec (rng_codec_oracle.h) and the production
+/// word copy must agree byte for byte, and each must restore the other's
+/// snapshot to the same state.
+void expect_oracle_agrees(const std::mt19937_64& ref,
+                          const stats::Mt19937_64& ours,
+                          const std::string& label) {
+  offload::ByteWriter ow;
+  testing_util::oracle_snapshot_engine(ref, ow);
+  offload::ByteWriter nw;
+  stats::snapshot_engine(ours, nw);
+  ASSERT_EQ(nw.bytes(), ow.bytes()) << label;
+
+  offload::ByteReader nr(nw.bytes().data(), nw.size());
+  std::mt19937_64 ref_restored;
+  ASSERT_TRUE(testing_util::oracle_restore_engine(ref_restored, nr)) << label;
+  EXPECT_EQ(ref_restored, ref) << label;
+
+  offload::ByteReader orr(ow.bytes().data(), ow.size());
+  stats::Mt19937_64 ours_restored;
+  ASSERT_TRUE(stats::restore_engine(ours_restored, orr)) << label;
+  EXPECT_EQ(ours_restored, ours) << label;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(ours_restored(), ref_restored()) << label << " draw " << i;
+  }
+}
+
+TEST(RngCodec, BytesMatchTheIostreamOracle) {
+  // Read position 312 twice: freshly seeded (nothing drawn yet) and
+  // after exactly one full block of draws.
+  expect_oracle_agrees(std::mt19937_64(8), stats::Mt19937_64(8), "fresh");
+  std::mt19937_64 ref(8);
+  stats::Mt19937_64 ours(8);
+  for (int i = 0; i < 312; ++i) ASSERT_EQ(ours(), ref());
+  ASSERT_EQ(ours.position(), 312u);
+  expect_oracle_agrees(ref, ours, "end of block");
+
+  // Mid-block.
+  for (int i = 0; i < 157; ++i) ASSERT_EQ(ours(), ref());
+  ASSERT_EQ(ours.position(), 157u);
+  expect_oracle_agrees(ref, ours, "mid-block");
+
+  // Position 0 -- a refilled block with nothing read from it yet. The
+  // engines' draws never stop there, so both are loaded with it: the
+  // standard engine through its stream representation.
+  ASSERT_TRUE(ours.set_state(ours.state(), 0));
+  std::ostringstream os;
+  for (const std::uint64_t word : ours.state()) os << word << ' ';
+  os << 0;
+  std::istringstream is(os.str());
+  is >> ref;
+  ASSERT_FALSE(is.fail());
+  expect_oracle_agrees(ref, ours, "position 0");
 }
 
 TEST(ParticleFilter, SnapshotRestoreContinuesFilterBitIdentically) {

@@ -29,8 +29,10 @@
 #include <memory>
 #include <mutex>
 #include <numbers>
+#include <ostream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/runner.h"
@@ -940,6 +942,67 @@ TEST(QuantizedChain, SplitSnapshotPreservesThePayloadVersion) {
     EXPECT_FALSE(b.adopt_session(payload, sid).has_value()) << sid;
   }
   EXPECT_EQ(b.live_sessions(), 2u);
+}
+
+// ------------------------------------------------------ format stability
+
+/// Length and stored CRC-32 of one wave. The stored CRC covers every
+/// byte before it, so pinning both catches drift in any layer of the
+/// wave: header, membership, record framing, the particle codecs and the
+/// RNG engine codec.
+struct WavePrint {
+  std::size_t size{0};
+  std::uint32_t crc{0};
+  bool operator==(const WavePrint&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const WavePrint& p) {
+  return os << "{" << p.size << ", 0x" << std::hex << p.crc << std::dec
+            << "}";
+}
+
+WavePrint print_of(const std::vector<std::uint8_t>& wave) {
+  WavePrint p;
+  p.size = wave.size();
+  if (wave.size() < 4) return p;
+  offload::ByteReader r(wave.data() + wave.size() - 4, 4);
+  r.get_u32(p.crc);
+  return p;
+}
+
+/// A keyframe over two warm sessions, then a delta after one more epoch
+/// of session 2, from a server on a fixed clock.
+std::pair<WavePrint, WavePrint> seeded_waves(bool quantize) {
+  sim::VirtualClock clock(5'000'000);
+  svc::ServerConfig cfg;
+  cfg.now_us = clock.now_fn();
+  cfg.snapshot_quantize = quantize;
+  std::unique_ptr<svc::LocalizationServer> server = warm_server(cfg);
+  const std::vector<std::uint8_t> keyframe = server->snapshot_wave(true);
+  clock.advance_us(250'000);
+  server->submit(epoch_frame(2)).get();
+  const std::vector<std::uint8_t> delta = server->snapshot_wave(false);
+  svc::WaveView v;
+  EXPECT_TRUE(svc::decode_wave(keyframe, v));
+  EXPECT_EQ(v.records.size(), 2u);
+  EXPECT_TRUE(svc::decode_wave(delta, v));
+  EXPECT_EQ(v.records.size(), 1u);
+  return {print_of(keyframe), print_of(delta)};
+}
+
+// The constants were taken from the tree before the engine codec, the
+// CRC and the byte writer were rewritten for speed; those rewrites must
+// not move a single byte. A deliberate format change updates them.
+TEST(WaveFormat, SeededLosslessWavesArePinned) {
+  const auto [keyframe, delta] = seeded_waves(/*quantize=*/false);
+  EXPECT_EQ(keyframe, (WavePrint{58579, 0x125edbffu}));
+  EXPECT_EQ(delta, (WavePrint{29319, 0xd7ec7044u}));
+}
+
+TEST(WaveFormat, SeededQuantizedWavesArePinned) {
+  const auto [keyframe, delta] = seeded_waves(/*quantize=*/true);
+  EXPECT_EQ(keyframe, (WavePrint{22739, 0xb5c95125u}));
+  EXPECT_EQ(delta, (WavePrint{11399, 0x72a606fau}));
 }
 
 }  // namespace

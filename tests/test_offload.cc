@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <random>
+#include <string_view>
+#include <vector>
 
 #include "core/runner.h"
 #include "core/trainer.h"
+#include "offload/crc32.h"
 #include "offload/session.h"
 #include "testing_util.h"
 
@@ -252,6 +257,64 @@ TEST(OffloadSession, ServerReturnsFusedCoordinate) {
   const DownlinkFrame reply = server.handle(f, &d);
   EXPECT_NEAR(reply.decoded().x, d.uniloc2.x, 0.01);
   EXPECT_NEAR(reply.decoded().y, d.uniloc2.y, 0.01);
+}
+
+// ------------------------------------------------------------- CRC-32
+
+/// The definition, one bit at a time: the reference the slice-by-8
+/// tables must reproduce.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t n,
+                            std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32, KnownAnswer) {
+  constexpr std::string_view kCheck = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(kCheck.data()),
+                  kCheck.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, SliceBy8MatchesTheBitwiseDefinition) {
+  // Every length 0..257 at every start offset 0..7: covers each
+  // alignment of the 8-byte blocks and every tail length.
+  const std::vector<std::uint8_t> buf = random_bytes(257 + 8, 1);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      ASSERT_EQ(crc32(buf.data() + off, len),
+                bitwise_crc32(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32(buf.data() + off, len, 0x12345678u),
+                bitwise_crc32(buf.data() + off, len, 0x12345678u))
+          << "seeded, offset " << off << " length " << len;
+    }
+  }
+  const std::vector<std::uint8_t> big = random_bytes(1u << 20, 2);
+  EXPECT_EQ(crc32(big.data(), big.size()),
+            bitwise_crc32(big.data(), big.size()));
+}
+
+TEST(Crc32, SeedChainsPartialUpdates) {
+  const std::vector<std::uint8_t> buf = random_bytes(1000, 3);
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  for (const std::size_t k : {0u, 1u, 7u, 8u, 9u, 500u, 993u, 999u, 1000u}) {
+    EXPECT_EQ(crc32(buf.data() + k, buf.size() - k, crc32(buf.data(), k)),
+              whole)
+        << "split at " << k;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 //      new/delete with a counting hook; after a warmup walk segment has
 //      grown every scratch buffer to steady capacity, one call of
 //      Uniloc::update_fast must perform ZERO heap allocations -- same for
-//      a steady-state ParticleFilter predict/reweight/resample cycle. The
+//      a steady-state ParticleFilter predict/reweight/resample cycle and
+//      for one RNG engine snapshot into a reserved ByteWriter. The
 //      hook is compiled out under ASan/TSan/MSan (the sanitizer runtimes
 //      own the allocator there); those configurations skip the counting
 //      tests and keep the cache-semantics tests.
@@ -20,20 +21,25 @@
 
 #include <execinfo.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
 #include <vector>
 
 #include "core/epoch_scratch.h"
 #include "core/runner.h"
 #include "core/trainer.h"
 #include "filter/particle_filter.h"
+#include "offload/bytes.h"
+#include "rng_codec_oracle.h"
 #include "schemes/fingerprint_db.h"
 #include "sim/builders.h"
 #include "sim/walker.h"
+#include "stats/rng_codec.h"
 #include "stats/simd.h"
 #include "testing_util.h"
 
@@ -203,6 +209,35 @@ TEST(PerfContracts, ParticleFilterCycleIsAllocationFreeInSteadyState) {
   const std::uint64_t allocs = end_counting();
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(pf.storage_bytes(), 0u);
+}
+
+TEST(PerfContracts, EngineSnapshotIsAllocationFree) {
+  // Every checkpoint wave snapshots two engines per session on the
+  // thread that builds the wave. The codec copies the state words into
+  // the writer; with the writer's capacity reserved that is zero heap
+  // allocations (the iostream round trip it replaced made several).
+  stats::Mt19937_64 engine(3);
+  for (int i = 0; i < 100; ++i) engine();
+  constexpr std::size_t kBytes = 4 + 8 * stats::kEngineTokens;
+  offload::ByteWriter w;
+  w.reserve(2 * kBytes);
+
+  begin_counting();
+  stats::snapshot_engine(engine, w);
+  const std::uint64_t allocs = end_counting();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(w.size(), kBytes);
+
+  // Hook proof: the test-side iostream oracle, same writer, same state.
+  std::mt19937_64 ref(3);
+  ref.discard(100);
+  begin_counting();
+  testing_util::oracle_snapshot_engine(ref, w);
+  const std::uint64_t oracle_allocs = end_counting();
+  EXPECT_GE(oracle_allocs, 4u);
+  ASSERT_EQ(w.size(), 2 * kBytes);
+  EXPECT_TRUE(std::equal(w.bytes().begin(), w.bytes().begin() + kBytes,
+                         w.bytes().begin() + kBytes));
 }
 
 #else  // !UNILOC_ALLOC_COUNTING
@@ -376,7 +411,7 @@ TEST(PerfContracts, InterleavedSessionsMatchSoloRunsBitwise) {
         new Lane{sim::Walker(d.place.get(), d.radio.get(), walker_id,
                              sim::WalkConfig{}),
                  core::make_uniloc(d, test_models(), {}, false, seed),
-                 core::EpochScratch{}});
+                 core::EpochScratch{}, true, {}});
   };
   const auto step = [](Lane& lane) {
     if (lane.walker.done()) return false;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
 #include "stats/gaussian.h"
+#include "stats/mt19937_64.h"
 #include "stats/rng.h"
 #include "stats/special.h"
 
@@ -195,6 +198,87 @@ TEST(Rng, SplitmixAvalanche) {
   // Adjacent inputs produce very different outputs.
   EXPECT_NE(splitmix64(1) >> 32, splitmix64(2) >> 32);
   EXPECT_NE(splitmix64(0), 0u);
+}
+
+// Mt19937_64 must be the standard engine in everything but name: same
+// raw stream, same state, and -- through constexpr min()/max() -- the
+// same values out of every std::*_distribution.
+
+constexpr std::uint64_t kEngineSeeds[] = {0,     1,          5489,
+                                          12345, 0xDEADBEEFCAFEF00Dull,
+                                          ~0ull};
+
+TEST(Mt19937Engine, RawStreamMatchesStdEngine) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    std::mt19937_64 ref(seed);
+    Mt19937_64 ours(seed);
+    for (int i = 0; i < 100'000; ++i) {
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+  EXPECT_EQ(Mt19937_64()(), std::mt19937_64()());  // default seed
+}
+
+TEST(Mt19937Engine, DiscardMatchesStdEngine) {
+  for (const unsigned long long skip :
+       {0ull, 1ull, 155ull, 311ull, 312ull, 313ull, 624ull, 100'003ull}) {
+    for (const int drawn : {0, 1, 200, 312}) {
+      std::mt19937_64 ref(77);
+      Mt19937_64 ours(77);
+      for (int i = 0; i < drawn; ++i) ASSERT_EQ(ours(), ref());
+      ref.discard(skip);
+      ours.discard(skip);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(ours(), ref()) << "skip " << skip << " after " << drawn;
+      }
+    }
+  }
+}
+
+TEST(Mt19937Engine, StdDistributionsDrawIdentically) {
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+  std::mt19937_64 ref(2024);
+  Mt19937_64 ours(2024);
+  std::normal_distribution<double> normal(1.5, 0.25);
+  std::normal_distribution<double> ref_normal(1.5, 0.25);
+  std::uniform_real_distribution<double> uniform(-3.0, 7.0);
+  std::uniform_int_distribution<int> dice(1, 6);
+  std::bernoulli_distribution coin(0.3);
+  for (int i = 0; i < 20'000; ++i) {
+    // Bitwise equality: normal_distribution caches its second variate,
+    // so the two distribution objects must also stay in lockstep.
+    ASSERT_EQ(normal(ours), ref_normal(ref)) << i;
+    ASSERT_EQ(uniform(ours), uniform(ref)) << i;
+    ASSERT_EQ(dice(ours), dice(ref)) << i;
+    ASSERT_EQ(coin(ours), coin(ref)) << i;
+  }
+}
+
+TEST(Mt19937Engine, RngDrawsMatchTheStdEngine) {
+  // stats::Rng draws through the in-tree engine; every convenience draw
+  // must equal the same distribution over std::mt19937_64.
+  Rng rng(31);
+  std::mt19937_64 ref(31);
+  for (int i = 0; i < 5'000; ++i) {
+    ASSERT_EQ(rng.uniform(2.0, 4.0),
+              std::uniform_real_distribution<double>(2.0, 4.0)(ref));
+    ASSERT_EQ(rng.normal(0.5, 2.0),
+              std::normal_distribution<double>(0.5, 2.0)(ref));
+    ASSERT_EQ(rng.uniform_int(-4, 9),
+              std::uniform_int_distribution<int>(-4, 9)(ref));
+    ASSERT_EQ(rng.chance(0.6), std::bernoulli_distribution(0.6)(ref));
+  }
+}
+
+TEST(Mt19937Engine, SetStateRefusesAPastTheEndPosition) {
+  Mt19937_64 engine(5);
+  const Mt19937_64 before = engine;
+  EXPECT_FALSE(engine.set_state(engine.state(), Mt19937_64::state_size + 1));
+  EXPECT_EQ(engine, before);
+  EXPECT_TRUE(engine.set_state(engine.state(), 0));
+  EXPECT_EQ(engine.position(), 0u);
 }
 
 }  // namespace
