@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/epoch_scratch.h"
 #include "core/aloc_baseline.h"
 #include "sim/walker.h"
 
@@ -30,6 +31,7 @@ int main() {
     wc.seed = 2024;
     sim::Walker walker(campus.place.get(), campus.radio.get(), 0, wc);
     uniloc.reset({walker.start_position(), walker.start_heading()});
+    core::EpochScratch scratch;
 
     std::vector<double> errs;
     double power_sum = 0.0;
@@ -39,7 +41,7 @@ int main() {
       // the scheme it selected; for comparability we let all sensors run
       // and account the selected scheme's marginal power.
       const sim::SensorFrame f = walker.step(true);
-      const core::EpochDecision d = uniloc.update(f);
+      const core::EpochDecision& d = uniloc.update_fast(f, scratch);
       const int pick = aloc.select(d.outputs, d.predicted_error);
       ++epochs;
       if (pick >= 0) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/epoch_scratch.h"
 #include "core/map_matching.h"
 
 using namespace uniloc;
@@ -29,12 +30,13 @@ int main() {
     wc.seed = 2024 + path;
     sim::Walker walker(campus.place.get(), campus.radio.get(), path, wc);
     uniloc.reset({walker.start_position(), walker.start_heading()});
+    core::EpochScratch scratch;
     matcher.reset();
 
     std::vector<double> raw, matched;
     while (!walker.done()) {
       const sim::SensorFrame f = walker.step(uniloc.gps_enabled());
-      const core::EpochDecision d = uniloc.update(f);
+      const core::EpochDecision& d = uniloc.update_fast(f, scratch);
       raw.push_back(geo::distance(d.uniloc2, f.truth_pos));
       matched.push_back(
           geo::distance(matcher.update(d.uniloc2), f.truth_pos));

@@ -152,8 +152,10 @@ void BM_HorusMatch(benchmark::State& state) {
   schemes::HorusScheme horus(office().wifi_db.get(), {});
   sim::SensorFrame frame;
   frame.wifi = scan;
+  schemes::SchemeOutput out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(horus.update(frame));
+    horus.update_into(frame, out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_HorusMatch);
@@ -185,7 +187,7 @@ void BM_PosteriorGridFusion(benchmark::State& state) {
 }
 BENCHMARK(BM_PosteriorGridFusion);
 
-// --- full Uniloc::update() epoch, replaying recorded frames -----------
+// --- full Uniloc::update_fast epoch, replaying recorded frames --------
 //
 // Three variants quantify the telemetry subsystem's overhead contract:
 // never-attached (baseline), attach_metrics(nullptr) (the null-object
@@ -212,18 +214,15 @@ const ReplayFixture& replay_frames() {
   return fx;
 }
 
-enum class Instr { kNone, kNullRegistry, kRegistry };
-
-void run_uniloc_update(benchmark::State& state, Instr instr) {
-  const ReplayFixture& fx = replay_frames();
-  core::Uniloc uniloc = core::make_uniloc(office(), models());
-  obs::MetricsRegistry registry;
-  if (instr == Instr::kNullRegistry) uniloc.attach_metrics(nullptr);
-  if (instr == Instr::kRegistry) uniloc.attach_metrics(&registry);
+/// Replay `fx` through `uniloc` epoch after epoch, restarting the walk
+/// (untimed) whenever the frames run out.
+void replay_epochs(benchmark::State& state, core::Uniloc& uniloc,
+                   const ReplayFixture& fx) {
+  core::EpochScratch scratch;
   uniloc.reset({fx.start_pos, fx.start_heading});
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(uniloc.update(fx.frames[i]));
+    benchmark::DoNotOptimize(&uniloc.update_fast(fx.frames[i], scratch));
     if (++i == fx.frames.size()) {
       i = 0;
       state.PauseTiming();
@@ -231,6 +230,16 @@ void run_uniloc_update(benchmark::State& state, Instr instr) {
       state.ResumeTiming();
     }
   }
+}
+
+enum class Instr { kNone, kNullRegistry, kRegistry };
+
+void run_uniloc_update(benchmark::State& state, Instr instr) {
+  core::Uniloc uniloc = core::make_uniloc(office(), models());
+  obs::MetricsRegistry registry;
+  if (instr == Instr::kNullRegistry) uniloc.attach_metrics(nullptr);
+  if (instr == Instr::kRegistry) uniloc.attach_metrics(&registry);
+  replay_epochs(state, uniloc, replay_frames());
 }
 
 void BM_UnilocUpdate(benchmark::State& state) {
@@ -268,22 +277,11 @@ void BM_SpanBeginEnd(benchmark::State& state) {
 BENCHMARK(BM_SpanBeginEnd);
 
 void run_uniloc_update_traced(benchmark::State& state, bool attached) {
-  const ReplayFixture& fx = replay_frames();
   core::Uniloc uniloc = core::make_uniloc(office(), models());
   obs::NullSpanSink sink;
   obs::SpanTracer tracer(&sink);
   uniloc.attach_tracer(attached ? &tracer : nullptr);
-  uniloc.reset({fx.start_pos, fx.start_heading});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(uniloc.update(fx.frames[i]));
-    if (++i == fx.frames.size()) {
-      i = 0;
-      state.PauseTiming();
-      uniloc.reset({fx.start_pos, fx.start_heading});
-      state.ResumeTiming();
-    }
-  }
+  replay_epochs(state, uniloc, replay_frames());
 }
 
 void BM_UnilocUpdateDetachedTracer(benchmark::State& state) {
@@ -295,37 +293,6 @@ void BM_UnilocUpdateTracer(benchmark::State& state) {
   run_uniloc_update_traced(state, /*attached=*/true);
 }
 BENCHMARK(BM_UnilocUpdateTracer)->Unit(benchmark::kMicrosecond);
-
-void run_uniloc_replay(benchmark::State& state, const core::Deployment& d,
-                       const ReplayFixture& fx, bool fast) {
-  core::Uniloc uniloc = core::make_uniloc(d, models());
-  core::EpochScratch scratch;
-  uniloc.reset({fx.start_pos, fx.start_heading});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    if (fast) {
-      benchmark::DoNotOptimize(&uniloc.update_fast(fx.frames[i], scratch));
-    } else {
-      benchmark::DoNotOptimize(uniloc.update(fx.frames[i]));
-    }
-    if (++i == fx.frames.size()) {
-      i = 0;
-      state.PauseTiming();
-      uniloc.reset({fx.start_pos, fx.start_heading});
-      state.ResumeTiming();
-    }
-  }
-}
-
-void BM_UnilocUpdateFast(benchmark::State& state) {
-  // The zero-allocation pipeline on the same recorded frames as
-  // BM_UnilocUpdate. The office epoch is dominated by the two particle
-  // filters, which both pipelines share, so the gap is modest here; the
-  // campus pair below is the headline fast-vs-reference comparison
-  // (bench/epoch_pipeline.cpp has the full report).
-  run_uniloc_replay(state, office(), replay_frames(), /*fast=*/true);
-}
-BENCHMARK(BM_UnilocUpdateFast)->Unit(benchmark::kMicrosecond);
 
 // --- the campus: the paper's primary venue and the fast path's regime ---
 //
@@ -356,16 +323,10 @@ const ReplayFixture& campus_frames() {
 }
 
 void BM_UnilocUpdateCampus(benchmark::State& state) {
-  run_uniloc_replay(state, campus_deployment(), campus_frames(),
-                    /*fast=*/false);
+  core::Uniloc uniloc = core::make_uniloc(campus_deployment(), models());
+  replay_epochs(state, uniloc, campus_frames());
 }
 BENCHMARK(BM_UnilocUpdateCampus)->Unit(benchmark::kMicrosecond);
-
-void BM_UnilocUpdateFastCampus(benchmark::State& state) {
-  run_uniloc_replay(state, campus_deployment(), campus_frames(),
-                    /*fast=*/true);
-}
-BENCHMARK(BM_UnilocUpdateFastCampus)->Unit(benchmark::kMicrosecond);
 
 void BM_WallCrossingQuery(benchmark::State& state) {
   static sim::Place campus = [] {

@@ -8,6 +8,7 @@
 // distance estimation from the fused position.
 #include <cstdio>
 
+#include "core/epoch_scratch.h"
 #include "core/runner.h"
 #include "sim/walker.h"
 #include "stats/descriptive.h"
@@ -29,12 +30,13 @@ int main() {
   sim::Walker walker(campus.place.get(), campus.radio.get(), path, wc);
   uniloc.reset({walker.start_position(), walker.start_heading()});
 
+  core::EpochScratch scratch;
   int epoch = 0;
   sim::SegmentType last_env = sim::SegmentType::kOffice;
   std::vector<double> errors;
   while (!walker.done()) {
     const sim::SensorFrame frame = walker.step(uniloc.gps_enabled());
-    const core::EpochDecision dec = uniloc.update(frame);
+    const core::EpochDecision& dec = uniloc.update_fast(frame, scratch);
     ++epoch;
     errors.push_back(geo::distance(dec.uniloc2, frame.truth_pos));
 

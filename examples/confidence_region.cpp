@@ -8,6 +8,7 @@
 // the walker moves from deep indoors to open space.
 #include <cstdio>
 
+#include "core/epoch_scratch.h"
 #include "core/posterior_fusion.h"
 #include "core/runner.h"
 #include "sim/walker.h"
@@ -42,10 +43,11 @@ int main() {
   sim::Walker walker(campus.place.get(), campus.radio.get(), 0, wc);
   uniloc.reset({walker.start_position(), walker.start_heading()});
 
+  core::EpochScratch scratch;
   int epoch = 0;
   while (!walker.done()) {
     const sim::SensorFrame frame = walker.step(uniloc.gps_enabled());
-    const core::EpochDecision dec = uniloc.update(frame);
+    const core::EpochDecision& dec = uniloc.update_fast(frame, scratch);
     if (++epoch % 60 != 0) continue;
 
     const core::FusedPosterior post =

@@ -4,7 +4,8 @@
 // We invent a scheme UniLoc has never seen: magnetic-fingerprint matching
 // along the walkway (FOLLOWME-style [18], using the ambient magnetic
 // fluctuation as a 1-D signature). Integration cost is exactly:
-//   1. implement LocalizationScheme (update() -> estimate + posterior),
+//   1. implement LocalizationScheme's one localize method
+//      (update_into() -> estimate + posterior),
 //   2. collect (features, error) tuples once and fit its error model,
 //   3. uniloc.add_scheme(std::move(scheme), model).
 // No UniLoc internals are touched.
@@ -50,11 +51,12 @@ class MagneticScheme final : public schemes::LocalizationScheme {
     cursor_ = proj.arclen;
   }
 
-  schemes::SchemeOutput update(const sim::SensorFrame& frame) override {
+  void update_into(const sim::SensorFrame& frame,
+                   schemes::SchemeOutput& out) override {
     window_.push_back(frame.ambient.mag_field_sd_ut);
     if (window_.size() > kWindow) window_.erase(window_.begin());
-    schemes::SchemeOutput out;
-    if (window_.size() < kWindow) return out;  // warming up
+    out.available = false;
+    if (window_.size() < kWindow) return;  // warming up
 
     // Advance a cursor by the nominal step and refine it by matching the
     // recent magnetic window against the offline profile near the cursor.
@@ -75,8 +77,7 @@ class MagneticScheme final : public schemes::LocalizationScheme {
     const sim::Walkway& w = place_->walkways()[walkway_];
     out.available = true;
     out.estimate = w.line.point_at(cursor_);
-    out.posterior = schemes::Posterior::gaussian(out.estimate, 6.0, 2);
-    return out;
+    schemes::Posterior::gaussian_into(out.estimate, 6.0, 2, out.posterior);
   }
 
  private:

@@ -42,6 +42,7 @@
 #include <string>
 
 #include "core/cold_start.h"
+#include "core/epoch_scratch.h"
 #include "core/runner.h"
 #include "fault/link.h"
 #include "fault/plan.h"
@@ -201,10 +202,12 @@ int cmd_replay(const std::string& venue, const std::string& path,
     uniloc.reset({trace.start_pos, trace.start_heading});
   }
 
+  core::EpochScratch scratch;
   std::vector<double> u1, u2;
   for (std::size_t i = first_frame; i < trace.frames.size(); ++i) {
     const bool gps_was_enabled = uniloc.gps_enabled();
-    const core::EpochDecision dec = uniloc.update(trace.frames[i]);
+    const core::EpochDecision& dec =
+        uniloc.update_fast(trace.frames[i], scratch);
     u1.push_back(geo::distance(dec.uniloc1, trace.frames[i].truth_pos));
     u2.push_back(geo::distance(dec.uniloc2, trace.frames[i].truth_pos));
     if (sink) {
@@ -315,9 +318,6 @@ int cmd_serve_sim(const ServeSimOptions& sopts) {
   obs::MetricsRegistry registry;
   svc::ServerConfig cfg;
   cfg.workers = sopts.workers;
-  // A compressed stand-in for the per-fix WLAN transmission time the
-  // paper measures (Table V); workers overlap these waits.
-  cfg.simulated_network = std::chrono::microseconds(5000);
 
   // Observability sidecars: span tracing to JSONL (feed the file to
   // scripts/trace2chrome.py), a per-session flight recorder dumped when

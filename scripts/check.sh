@@ -66,9 +66,10 @@ if [[ "${TSAN:-1}" != "0" ]]; then
   # threads concurrently -- the `obs` label's concurrency tests must be
   # clean under TSan too.
   ctest --no-tests=error --test-dir "$TSAN_DIR" -L '^obs$' --output-on-failure -j "$JOBS"
-  # Fast-path gate: the differential seed sweeps drive the service at
-  # workers=4, so TSan checks that per-session epoch scratch (including
-  # the shared scan memos) really is confined to its session strand.
+  # Epoch-pipeline gate: the differential seed sweeps drive the service
+  # at workers=4 (against the oracle-checked workers=0 stream), so TSan
+  # checks that per-session epoch scratch (including the shared scan
+  # memos) really is confined to its session strand.
   ctest --no-tests=error --test-dir "$TSAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
   # Property-test concurrency gate: the generated-world sweep spawns
   # workers>0 and fleet passes for a quarter of its cases -- TSan watches
@@ -91,9 +92,11 @@ if [[ "${ASAN:-1}" != "0" ]]; then
   cmake --build "$ASAN_DIR" -j "$JOBS" \
     --target test_svc test_fault test_golden test_differential
   ctest --no-tests=error --test-dir "$ASAN_DIR" -L 'svc|chaos' --output-on-failure -j "$JOBS"
-  # Fast-path gate: the reference-vs-fast differential must stay clean
-  # under ASan/UBSan -- the zero-allocation arena reuses buffers across
-  # epochs and sessions, exactly where stale-pointer bugs would hide.
+  # Epoch-pipeline gate: the served-pipeline-vs-oracle differential
+  # (tests/reference_pipeline.cc is compiled into test_differential) must
+  # stay clean under ASan/UBSan -- the zero-allocation arena reuses
+  # buffers across epochs and sessions, exactly where stale-pointer bugs
+  # would hide.
   ctest --no-tests=error --test-dir "$ASAN_DIR" -R '^diff\.' --output-on-failure -j "$JOBS"
   # Crash-recovery gate: the checkpoint suite (snapshot codec round
   # trips, kProcessCrash chaos, truncated/bit-flipped snapshot fuzz)

@@ -11,37 +11,13 @@ namespace {
 
 using schemes::SchemeFamily;
 
-double observable_or(const schemes::SchemeOutput& out, const std::string& key,
-                     double fallback) {
-  const auto it = out.observables.find(key);
-  return it != out.observables.end() ? it->second : fallback;
-}
-
 /// beta2 of the fingerprinting models: deviation of the RSSI distances of
 /// the k=3 best candidates. Small deviation = ambiguous candidates = the
 /// estimate is more likely wrong (negative regression coefficient).
 double top3_distance_sd(const schemes::FingerprintDatabase* db,
-                        const std::vector<sim::ApReading>& scan) {
-  if (db == nullptr || db->empty() || scan.empty()) return 0.0;
-  const std::vector<schemes::Match> top = db->k_nearest(scan, 3);
-  if (top.size() < 2) return 0.0;
-  std::vector<double> d;
-  d.reserve(top.size());
-  for (const schemes::Match& m : top) d.push_back(m.distance);
-  return stats::stddev(d);
-}
-
-double density_or_large(const schemes::FingerprintDatabase* db,
-                        geo::Vec2 pos) {
-  if (db == nullptr || db->empty()) return 50.0;
-  return std::min(50.0, db->local_density(pos));
-}
-
-// Buffer-reusing twins of the two allocating helpers above; same values.
-double top3_distance_sd_into(const schemes::FingerprintDatabase* db,
-                             const std::vector<sim::ApReading>& scan,
-                             schemes::ScanScratch& scan_scratch,
-                             FeatureScratch& scratch) {
+                        const std::vector<sim::ApReading>& scan,
+                        schemes::ScanScratch& scan_scratch,
+                        FeatureScratch& scratch) {
   if (db == nullptr || db->empty() || scan.empty()) return 0.0;
   // The schemes already evaluated this scan against this database earlier
   // in the epoch; serve the top 3 from the shared memo when one is around.
@@ -61,8 +37,8 @@ double top3_distance_sd_into(const schemes::FingerprintDatabase* db,
   return stats::stddev(scratch.top3);
 }
 
-double density_or_large_into(const schemes::FingerprintDatabase* db,
-                             geo::Vec2 pos, FeatureScratch& scratch) {
+double density_or_large(const schemes::FingerprintDatabase* db,
+                        geo::Vec2 pos, FeatureScratch& scratch) {
   if (db == nullptr || db->empty()) return 50.0;
   return std::min(50.0, db->local_density(pos, 4, scratch.knn));
 }
@@ -95,64 +71,46 @@ std::vector<double> extract_features(SchemeFamily family,
                                      const sim::SensorFrame& frame,
                                      const schemes::SchemeOutput& output,
                                      const FeatureContext& ctx) {
-  switch (family) {
-    case SchemeFamily::kWifiFingerprint:
-      return {density_or_large(ctx.wifi_db, ctx.predicted_location),
-              top3_distance_sd(ctx.wifi_db, frame.wifi)};
-    case SchemeFamily::kCellFingerprint:
-      return {density_or_large(ctx.cell_db, ctx.predicted_location),
-              top3_distance_sd(ctx.cell_db, frame.cell)};
-    case SchemeFamily::kMotionPdr:
-      return {observable_or(output, "dist_since_landmark", 0.0),
-              corridor_width(ctx)};
-    case SchemeFamily::kFusion:
-      return {observable_or(output, "dist_since_landmark", 0.0),
-              corridor_width(ctx),
-              density_or_large(ctx.wifi_db, ctx.predicted_location)};
-    case SchemeFamily::kGps:
-      return {};
-    case SchemeFamily::kOther:
-      // Generic fallback for user-integrated schemes: any scheme that
-      // reports a posterior provides its spread as a self-assessed
-      // uncertainty feature.
-      return {output.posterior.spread()};
-  }
-  return {};
+  FeatureScratch scratch;
+  std::vector<double> x;
+  extract_features_into(family, frame, output, ctx, scratch, x);
+  return x;
 }
 
 void extract_features_into(SchemeFamily family, const sim::SensorFrame& frame,
                            const schemes::SchemeOutput& output,
                            const FeatureContext& ctx, FeatureScratch& scratch,
                            std::vector<double>& x) {
-  // 19 chars > libstdc++ SSO; avoid a per-epoch heap temporary.
-  static const std::string kDistSinceLandmark = "dist_since_landmark";
   x.clear();
   switch (family) {
     case SchemeFamily::kWifiFingerprint:
-      x.push_back(density_or_large_into(ctx.wifi_db, ctx.predicted_location,
-                                        scratch));
-      x.push_back(top3_distance_sd_into(ctx.wifi_db, frame.wifi, scratch.wifi,
-                                        scratch));
+      x.push_back(
+          density_or_large(ctx.wifi_db, ctx.predicted_location, scratch));
+      x.push_back(
+          top3_distance_sd(ctx.wifi_db, frame.wifi, scratch.wifi, scratch));
       return;
     case SchemeFamily::kCellFingerprint:
-      x.push_back(density_or_large_into(ctx.cell_db, ctx.predicted_location,
-                                        scratch));
-      x.push_back(top3_distance_sd_into(ctx.cell_db, frame.cell, scratch.cell,
-                                        scratch));
+      x.push_back(
+          density_or_large(ctx.cell_db, ctx.predicted_location, scratch));
+      x.push_back(
+          top3_distance_sd(ctx.cell_db, frame.cell, scratch.cell, scratch));
       return;
     case SchemeFamily::kMotionPdr:
-      x.push_back(observable_or(output, kDistSinceLandmark, 0.0));
+      x.push_back(output.observables.dist_since_landmark.value_or(0.0));
       x.push_back(corridor_width(ctx));
       return;
     case SchemeFamily::kFusion:
-      x.push_back(observable_or(output, kDistSinceLandmark, 0.0));
+      x.push_back(output.observables.dist_since_landmark.value_or(0.0));
       x.push_back(corridor_width(ctx));
-      x.push_back(density_or_large_into(ctx.wifi_db, ctx.predicted_location,
-                                        scratch));
+      x.push_back(
+          density_or_large(ctx.wifi_db, ctx.predicted_location, scratch));
       return;
     case SchemeFamily::kGps:
       return;
     case SchemeFamily::kOther:
+      // Generic fallback for user-integrated schemes: any scheme that
+      // reports a posterior provides its spread as a self-assessed
+      // uncertainty feature.
       x.push_back(output.posterior.spread());
       return;
   }

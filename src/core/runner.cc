@@ -158,7 +158,6 @@ RunResult run_walk(Uniloc& uniloc, const Deployment& d,
   uniloc.attach_tracer(opts.tracer);
 
   EpochScratch scratch;
-  EpochDecision ref_dec;
   int step_idx = 0;
   while (!walker.done()) {
     const bool gps_on = opts.use_gps_duty_cycle ? uniloc.gps_enabled() : true;
@@ -169,16 +168,9 @@ RunResult run_walk(Uniloc& uniloc, const Deployment& d,
       epoch_scope.emplace(
           obs::TraceContext{epoch_span.trace(), epoch_span.id(), 0});
     }
-    const EpochDecision* dec_ptr;
-    if (opts.use_fast_path) {
-      dec_ptr = &uniloc.update_fast(frame, scratch);
-    } else {
-      ref_dec = uniloc.update(frame);
-      dec_ptr = &ref_dec;
-    }
+    const EpochDecision& dec = uniloc.update_fast(frame, scratch);
     epoch_scope.reset();
     epoch_span.finish();
-    const EpochDecision& dec = *dec_ptr;
     ++step_idx;
     if (step_idx % opts.record_every != 0) continue;
 

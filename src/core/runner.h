@@ -79,11 +79,6 @@ struct RunOptions {
   /// Uniloc for the duration of the walk: each epoch gets a `core.epoch`
   /// root span with the framework's scheme/fuse spans as children.
   obs::SpanTracer* tracer = nullptr;
-  /// Drive epochs through Uniloc::update_fast with a per-walk scratch
-  /// arena instead of the allocating reference update(). Same-seed traces
-  /// are bit-identical either way (tests/test_differential.cc); false is
-  /// the reference pipeline kept for differential testing and debugging.
-  bool use_fast_path = true;
 };
 
 /// Build a Uniloc over the deployment with the standard five schemes and

@@ -94,17 +94,15 @@ class Uniloc {
   void reset(const schemes::StartCondition& start);
 
   /// Run one epoch: localize with every scheme, predict errors, combine.
-  EpochDecision update(const sim::SensorFrame& frame);
-
-  /// Fast-path epoch: same eight pipeline stages as update(), but every
-  /// intermediate lives in `scratch` and schemes localize through
-  /// update_into, so a steady-state epoch performs zero heap allocations
-  /// (tests/test_perf_contracts.cc). Every consumer-visible field of the
-  /// returned decision is bit-identical to update()'s on the same frame
-  /// sequence (tests/test_differential.cc); unavailable scheme outputs may
-  /// carry stale posterior/observable payloads, which consumers never read
-  /// (they gate on `available`; DESIGN.md section 11). The reference is
-  /// valid until the next update_fast call on the same scratch.
+  /// Every intermediate lives in `scratch`, so a steady-state epoch
+  /// performs zero heap allocations (tests/test_perf_contracts.cc). Every
+  /// consumer-visible field of the returned decision is bit-identical to
+  /// the test oracle's (tests/reference_pipeline.h, which recomputes
+  /// every shared candidate evaluation; tests/test_differential.cc);
+  /// unavailable scheme outputs may carry stale posterior/observable
+  /// payloads, which consumers never read (they gate on `available`;
+  /// DESIGN.md section 11). The reference is valid until the next
+  /// update_fast call on the same scratch.
   const EpochDecision& update_fast(const sim::SensorFrame& frame,
                                    EpochScratch& scratch);
 
@@ -113,7 +111,7 @@ class Uniloc {
   std::uint64_t scheme_cache_hits() const;
   std::uint64_t scheme_cache_misses() const;
 
-  /// The duty-cycling decision computed by the previous update() (true
+  /// The duty-cycling decision computed by the previous epoch (true
   /// before the first epoch: the controller cannot rule GPS out yet).
   bool gps_enabled() const { return gps_enable_; }
 

@@ -118,6 +118,9 @@ std::future<svc::LinkReply> FaultyLink::send(
           });
     }
     case FaultKind::kNone:
+    // A process crash is scripted between rounds (fault::CrashInjector),
+    // never decided per send; a link that saw one delivers normally.
+    case FaultKind::kProcessCrash:
       break;
   }
 

@@ -39,7 +39,7 @@ void ServerAgent::attach_metrics(obs::MetricsRegistry* registry) {
 DownlinkFrame ServerAgent::handle(const sim::SensorFrame& frame,
                                   core::EpochDecision* decision_out) {
   obs::ScopedTimer timer(serve_us_);
-  const core::EpochDecision d = uniloc_->update(frame);
+  const core::EpochDecision& d = uniloc_->update_fast(frame, scratch_);
   if (decision_out != nullptr) *decision_out = d;
   return DownlinkFrame::encode(d.uniloc2);
 }

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 
+#include "core/epoch_scratch.h"
 #include "core/uniloc.h"
 #include "offload/payload.h"
 #include "sim/walker.h"
@@ -80,6 +81,7 @@ class ServerAgent {
 
  private:
   core::Uniloc* uniloc_;
+  core::EpochScratch scratch_;  ///< The epoch arena of uniloc_'s walk.
   obs::Histogram* serve_us_{nullptr};
 };
 

@@ -9,9 +9,10 @@
 //
 // One EpochContext lives inside each session's core::EpochScratch and is
 // threaded to the schemes by Uniloc::update_fast through
-// LocalizationScheme::set_epoch_context. The reference pipeline never
-// installs a context, so it keeps recomputing from scratch -- the
-// differential suite compares exactly that pair.
+// LocalizationScheme::set_epoch_context. The test oracle
+// (tests/reference_pipeline.h) never installs a context, so it keeps
+// recomputing from scratch -- the differential suite compares exactly
+// that pair.
 #pragma once
 
 #include <cstddef>

@@ -26,52 +26,8 @@ void FingerprintScheme::reset(const StartCondition&) {
   if (opts_.calibrate_offset) calibrator_ = OffsetCalibrator();
 }
 
-SchemeOutput FingerprintScheme::update(const sim::SensorFrame& frame) {
-  SchemeOutput out;
-  std::vector<sim::ApReading> scan =
-      db_->source() == FingerprintDatabase::Source::kWifi ? frame.wifi
-                                                          : frame.cell;
-  if (scan.size() < opts_.min_transmitters || db_->empty()) return out;
-  if (opts_.calibrate_offset) {
-    scan = calibrator_.calibrate(std::move(scan), *db_);
-  }
-
-  const std::vector<Match> matches = db_->k_nearest(scan, opts_.top_k);
-  if (matches.empty()) return out;
-
-  out.available = true;
-  out.estimate = db_->fingerprints()[matches[0].index].pos;
-
-  // Softmax posterior over the top-K candidates, relative to the best
-  // distance so the temperature acts on the *gap* between candidates.
-  const double best = matches[0].distance;
-  for (const Match& m : matches) {
-    const double w =
-        std::exp(-(m.distance - best) / opts_.softmax_scale_db);
-    out.posterior.support.push_back({db_->fingerprints()[m.index].pos, w});
-  }
-  out.posterior.normalize();
-
-  // Public observables mirroring what a deployed RADAR exposes.
-  out.observables["num_transmitters"] = static_cast<double>(scan.size());
-  std::vector<double> top3;
-  for (std::size_t i = 0; i < matches.size() && i < 3; ++i) {
-    top3.push_back(matches[i].distance);
-  }
-  out.observables["top_distance"] = best;
-  out.observables["top3_distance_sd"] =
-      top3.size() >= 2 ? stats::stddev(top3) : 0.0;
-  return out;
-}
-
 void FingerprintScheme::update_into(const sim::SensorFrame& frame,
                                     SchemeOutput& out) {
-  // Key lengths: "num_transmitters" (16) and "top3_distance_sd" (16)
-  // exceed libstdc++'s 15-char SSO buffer, so build them once.
-  static const std::string kNumTransmitters = "num_transmitters";
-  static const std::string kTopDistance = "top_distance";
-  static const std::string kTop3DistanceSd = "top3_distance_sd";
-
   out.available = false;
   const std::vector<sim::ApReading>& raw =
       db_->source() == FingerprintDatabase::Source::kWifi ? frame.wifi
@@ -105,6 +61,8 @@ void FingerprintScheme::update_into(const sim::SensorFrame& frame,
   out.available = true;
   out.estimate = db_->fingerprints()[matches_[0].index].pos;
 
+  // Softmax posterior over the top-K candidates, relative to the best
+  // distance so the temperature acts on the *gap* between candidates.
   const double best = matches_[0].distance;
   out.posterior.support.clear();
   for (const Match& m : matches_) {
@@ -114,13 +72,14 @@ void FingerprintScheme::update_into(const sim::SensorFrame& frame,
   }
   out.posterior.normalize();
 
-  out.observables[kNumTransmitters] = static_cast<double>(scan->size());
+  // Public observables mirroring what a deployed RADAR exposes.
+  out.observables.num_transmitters = static_cast<double>(scan->size());
   top3_.clear();
   for (std::size_t i = 0; i < matches_.size() && i < 3; ++i) {
     top3_.push_back(matches_[i].distance);
   }
-  out.observables[kTopDistance] = best;
-  out.observables[kTop3DistanceSd] =
+  out.observables.top_distance = best;
+  out.observables.top3_distance_sd =
       top3_.size() >= 2 ? stats::stddev(top3_) : 0.0;
 }
 

@@ -31,7 +31,6 @@ class FingerprintScheme final : public LocalizationScheme {
   std::string name() const override;
   SchemeFamily family() const override;
   void reset(const StartCondition& start) override;
-  SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
   void set_epoch_context(EpochContext* ctx) override { epoch_ctx_ = ctx; }
   void snapshot_into(offload::ByteWriter& w,
@@ -56,7 +55,7 @@ class FingerprintScheme final : public LocalizationScheme {
   OffsetCalibrator calibrator_;
   EpochContext* epoch_ctx_{nullptr};
 
-  // Fast-path scratch: reused across epochs by update_into.
+  // Scratch reused across epochs by update_into.
   ScanScratch scan_scratch_;
   std::vector<Match> matches_;
   std::vector<sim::ApReading> scan_buf_;

@@ -42,14 +42,13 @@ class FusionScheme final : public PdrScheme {
 
  protected:
   void extra_reweight(const sim::SensorFrame& frame) override;
-  void extra_reweight_fast(const sim::SensorFrame& frame) override;
 
  private:
   const FingerprintDatabase* db_;
   FusionOptions opts_;
   EpochContext* epoch_ctx_{nullptr};
 
-  // Fast-path scratch: candidate matches, their RSSI weights, the
+  // Scratch reused across epochs: candidate matches, their RSSI weights, the
   // likelihood-cache workspace, and the per-particle likelihood lanes of
   // the SIMD reweight kernel, reused across epochs.
   ScanScratch scan_scratch_;

@@ -38,38 +38,39 @@ double HorusScheme::log_likelihood(const std::vector<sim::ApReading>& scan,
   return ll;
 }
 
-SchemeOutput HorusScheme::update(const sim::SensorFrame& frame) {
-  SchemeOutput out;
+void HorusScheme::update_into(const sim::SensorFrame& frame,
+                              SchemeOutput& out) {
+  out.available = false;
   const std::vector<sim::ApReading>& scan =
       db_->source() == FingerprintDatabase::Source::kWifi ? frame.wifi
                                                           : frame.cell;
-  if (scan.size() < opts_.min_transmitters || db_->empty()) return out;
+  if (scan.size() < opts_.min_transmitters || db_->empty()) return;
 
   // Log-likelihood per fingerprint; keep the top-K as posterior support.
-  std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(db_->size());
+  scored_.clear();
+  scored_.reserve(db_->size());
   for (std::size_t i = 0; i < db_->size(); ++i) {
     const double ll = log_likelihood(scan, db_->fingerprints()[i]);
-    if (ll > -1e17) scored.emplace_back(ll, i);
+    if (ll > -1e17) scored_.emplace_back(ll, i);
   }
-  if (scored.empty()) return out;
-  const std::size_t k = std::min(opts_.top_k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(k),
-                    scored.end(), std::greater<>());
+  if (scored_.empty()) return;
+  const std::size_t k = std::min(opts_.top_k, scored_.size());
+  std::partial_sort(scored_.begin(), scored_.begin() + static_cast<long>(k),
+                    scored_.end(), std::greater<>());
 
   out.available = true;
   // MAP fingerprint is the point estimate (as in Horus).
-  out.estimate = db_->fingerprints()[scored[0].second].pos;
-  const double best_ll = scored[0].first;
+  out.estimate = db_->fingerprints()[scored_[0].second].pos;
+  const double best_ll = scored_[0].first;
+  out.posterior.support.clear();
   for (std::size_t i = 0; i < k; ++i) {
     out.posterior.support.push_back(
-        {db_->fingerprints()[scored[i].second].pos,
-         std::exp(scored[i].first - best_ll)});
+        {db_->fingerprints()[scored_[i].second].pos,
+         std::exp(scored_[i].first - best_ll)});
   }
   out.posterior.normalize();
-  out.observables["num_transmitters"] = static_cast<double>(scan.size());
-  out.observables["map_log_likelihood"] = best_ll;
-  return out;
+  out.observables.num_transmitters = static_cast<double>(scan.size());
+  out.observables.map_log_likelihood = best_ll;
 }
 
 }  // namespace uniloc::schemes

@@ -13,6 +13,9 @@
 // same features) and bench/ablation_radar_vs_horus compares the two.
 #pragma once
 
+#include <utility>
+#include <vector>
+
 #include "schemes/fingerprint_db.h"
 #include "schemes/scheme.h"
 
@@ -37,7 +40,7 @@ class HorusScheme final : public LocalizationScheme {
                : SchemeFamily::kCellFingerprint;
   }
   void reset(const StartCondition& start) override;
-  SchemeOutput update(const sim::SensorFrame& frame) override;
+  void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
 
   /// Log-likelihood of a scan under one fingerprint's distributions.
   double log_likelihood(const std::vector<sim::ApReading>& scan,
@@ -46,6 +49,7 @@ class HorusScheme final : public LocalizationScheme {
  private:
   const FingerprintDatabase* db_;
   Options opts_;
+  std::vector<std::pair<double, std::size_t>> scored_;  ///< Reused per epoch.
 };
 
 }  // namespace uniloc::schemes

@@ -42,22 +42,20 @@ void PdrScheme::attach_metrics(obs::MetricsRegistry* registry) {
   output_us_ = &registry->histogram(prefix + "output_us");
 }
 
-void PdrScheme::apply_map_constraint(bool fast) {
+void PdrScheme::apply_map_constraint() {
   if (!opts_.use_map || place_ == nullptr) return;
   // Pin the env index once for the whole pass -- per-particle
   // corridor_safe_fast/environment_at_fast calls each pay an atomic
   // shared_ptr copy, and this lambda runs ~300x2 times per epoch.
   const sim::Place::EnvView env_view = place_->env_view();
-  pf_.reweight([this, fast, &env_view](const filter::Particle& p) {
+  pf_.reweight([this, &env_view](const filter::Particle& p) {
     // Corridor-safe cells: the full environment computation below is
     // guaranteed to land in the `beyond <= 0` branch and return exactly
-    // 1.0 (see Place::corridor_safe_fast), so the fast path skips the
-    // walkway projections -- the dominant cost of this constraint --
-    // without changing any weight.
-    if (fast && env_view.corridor_safe(p.pos)) return 1.0;
-    const sim::LocalEnvironment env = fast
-                                          ? env_view.environment(p.pos)
-                                          : place_->environment_at(p.pos);
+    // 1.0 (see Place::corridor_safe_fast), so skip the walkway
+    // projections -- the dominant cost of this constraint -- without
+    // changing any weight.
+    if (env_view.corridor_safe(p.pos)) return 1.0;
+    const sim::LocalEnvironment env = env_view.environment(p.pos);
     const double beyond =
         std::max(0.0, env.distance_to_walkway - env.corridor_width_m / 2.0);
     if (beyond <= 0.0) return 1.0;
@@ -103,32 +101,8 @@ void PdrScheme::apply_wall_constraint(const std::vector<geo::Vec2>& before) {
   });
 }
 
-void PdrScheme::extra_reweight(const sim::SensorFrame&) {}
-
-void PdrScheme::extra_reweight_fast(const sim::SensorFrame& frame) {
-  extra_reweight(frame);
-}
-
-SchemeOutput PdrScheme::make_output() const {
-  SchemeOutput out;
-  out.available = started_;
-  if (!started_) return out;
-  out.estimate = pf_.mean();
-  for (std::size_t i = 0; i < pf_.size(); ++i) {
-    out.posterior.support.push_back({pf_.pos(i), pf_.weight(i)});
-  }
-  out.posterior.normalize();
-  out.observables["dist_since_landmark"] = dist_since_landmark_;
-  out.observables["particle_spread"] = pf_.spread();
-  return out;
-}
-
 void PdrScheme::make_output_into(SchemeOutput& out) const {
   obs::ScopedTimer timer(output_us_);
-  // "dist_since_landmark" is 19 chars -- past libstdc++'s SSO buffer --
-  // so keep one static key instead of a per-epoch heap temporary.
-  static const std::string kDistSinceLandmark = "dist_since_landmark";
-  static const std::string kParticleSpread = "particle_spread";
   out.available = started_;
   if (!started_) return;
   out.estimate = pf_.mean();
@@ -137,11 +111,11 @@ void PdrScheme::make_output_into(SchemeOutput& out) const {
     out.posterior.support.push_back({pf_.pos(i), pf_.weight(i)});
   }
   out.posterior.normalize();
-  out.observables[kDistSinceLandmark] = dist_since_landmark_;
-  out.observables[kParticleSpread] = pf_.spread();
+  out.observables.dist_since_landmark = dist_since_landmark_;
+  out.observables.particle_spread = pf_.spread();
 }
 
-void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast) {
+void PdrScheme::step_epoch(const sim::SensorFrame& frame) {
   const StepInference inf = frontend_.process(frame.imu);
   std::vector<geo::Vec2>& before = before_;
   before.clear();
@@ -158,24 +132,14 @@ void PdrScheme::step_epoch(const sim::SensorFrame& frame, bool fast) {
   if (!before.empty()) apply_wall_constraint(before);
   {
     obs::ScopedTimer t(map_us_);
-    apply_map_constraint(fast);
+    apply_map_constraint();
   }
   {
     obs::ScopedTimer t(extra_us_);
-    if (fast) {
-      extra_reweight_fast(frame);
-    } else {
-      extra_reweight(frame);
-    }
+    extra_reweight(frame);
   }
   apply_landmarks(frame);
   pf_.resample();
-}
-
-SchemeOutput PdrScheme::update(const sim::SensorFrame& frame) {
-  if (!started_) return {};
-  step_epoch(frame, /*fast=*/false);
-  return make_output();
 }
 
 void PdrScheme::update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
@@ -183,7 +147,7 @@ void PdrScheme::update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
     out.available = false;
     return;
   }
-  step_epoch(frame, /*fast=*/true);
+  step_epoch(frame);
   make_output_into(out);
 }
 

@@ -43,7 +43,6 @@ class PdrScheme : public LocalizationScheme {
   std::string name() const override { return "Motion"; }
   SchemeFamily family() const override { return SchemeFamily::kMotionPdr; }
   void reset(const StartCondition& start) override;
-  SchemeOutput update(const sim::SensorFrame& frame) override;
   void update_into(const sim::SensorFrame& frame, SchemeOutput& out) override;
   void attach_metrics(obs::MetricsRegistry* registry) override;
   void snapshot_into(offload::ByteWriter& w,
@@ -57,29 +56,22 @@ class PdrScheme : public LocalizationScheme {
 
  protected:
   /// Hook for subclasses (fusion) to add likelihood terms after the map
-  /// constraint but before resampling.
-  virtual void extra_reweight(const sim::SensorFrame& frame);
-
-  /// Fast-path twin of extra_reweight: must compute bit-identical weights
-  /// but may reuse subclass-owned scratch. Defaults to extra_reweight.
-  virtual void extra_reweight_fast(const sim::SensorFrame& frame);
+  /// constraint but before resampling. Default: none.
+  virtual void extra_reweight(const sim::SensorFrame& frame) { (void)frame; }
 
   filter::ParticleFilter& pf() { return pf_; }
   const sim::Place* place() const { return place_; }
   const PdrOptions& options() const { return opts_; }
 
  private:
-  /// One epoch of filtering (predict, constraints, reweight, resample),
-  /// shared verbatim by update() and update_into() so both consume the
-  /// same RNG stream. `fast` only selects which extra_reweight twin runs.
-  void step_epoch(const sim::SensorFrame& frame, bool fast);
-  /// `fast` routes the per-particle environment lookup through the
-  /// Place's precomputed candidate index (bit-identical; see
-  /// Place::environment_at_fast). The reference path keeps the full scan.
-  void apply_map_constraint(bool fast);
+  /// One epoch of filtering: predict, constraints, reweight, resample.
+  void step_epoch(const sim::SensorFrame& frame);
+  /// The per-particle environment lookup goes through the Place's
+  /// precomputed candidate index (Place::EnvView, bit-identical to
+  /// Place::environment_at; tests/test_place.cc pins the pair).
+  void apply_map_constraint();
   void apply_wall_constraint(const std::vector<geo::Vec2>& before);
   void apply_landmarks(const sim::SensorFrame& frame);
-  SchemeOutput make_output() const;
   void make_output_into(SchemeOutput& out) const;
 
   const sim::Place* place_;

@@ -59,6 +59,13 @@ std::vector<double> Posterior::to_grid(const geo::Grid& grid) const {
   return mass;
 }
 
+SchemeOutput LocalizationScheme::update(const sim::SensorFrame& frame) {
+  SchemeOutput out;
+  update_into(frame, out);
+  if (!out.available) return {};
+  return out;
+}
+
 Posterior Posterior::point(geo::Vec2 p) {
   Posterior post;
   post.support.push_back({p, 1.0});

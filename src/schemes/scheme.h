@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,15 +96,28 @@ struct Posterior {
                             Posterior& out);
 };
 
+/// Scheme-reported auxiliary observables. These mirror what a real
+/// scheme exposes in its public output; UniLoc's feature extractors may
+/// read them but never require scheme internals. A scheme fills the
+/// fields it reports and leaves the rest empty.
+struct Observables {
+  std::optional<double> hdop;              ///< GPS receiver HDOP.
+  std::optional<double> num_satellites;    ///< GPS satellites in the fix.
+  std::optional<double> num_transmitters;  ///< Fingerprinting: scan size.
+  std::optional<double> top_distance;      ///< RADAR: best RSSI distance.
+  std::optional<double> top3_distance_sd;  ///< RADAR: top-3 distance SD.
+  std::optional<double> dist_since_landmark;  ///< PDR walking model (m).
+  std::optional<double> particle_spread;      ///< PDR cloud spread (m).
+  std::optional<double> map_log_likelihood;   ///< Horus MAP log-likelihood.
+
+  void clear() { *this = Observables{}; }
+};
+
 struct SchemeOutput {
   bool available{false};
   geo::Vec2 estimate;        ///< Point estimate in the local map frame.
   Posterior posterior;       ///< P(l | M_n, s_t); empty if unavailable.
-  /// Scheme-reported auxiliary observables (e.g. GPS "hdop",
-  /// "num_satellites"). These mirror what a real scheme exposes in its
-  /// public output; UniLoc's feature extractors may read them but never
-  /// require scheme internals.
-  std::map<std::string, double> observables;
+  Observables observables;
 };
 
 /// Known starting state for dead-reckoning style schemes (the paper starts
@@ -124,41 +137,42 @@ class LocalizationScheme {
   /// Prepare for a new walk starting at `start`.
   virtual void reset(const StartCondition& start) = 0;
 
-  /// Consume one epoch of sensor data and localize.
-  virtual SchemeOutput update(const sim::SensorFrame& frame) = 0;
+  /// Consume one epoch of sensor data and localize into `out` -- the one
+  /// localize method a scheme implements. `out` is a slot the pipeline
+  /// reuses every epoch (so capacities persist and a steady-state epoch
+  /// can localize without allocating). Set `out.available`; when true,
+  /// also write the estimate, the posterior and the observables the
+  /// scheme reports. When false the rest of `out` may keep an earlier
+  /// epoch's payload: every consumer gates on `available` first
+  /// (DESIGN.md section 11).
+  virtual void update_into(const sim::SensorFrame& frame,
+                           SchemeOutput& out) = 0;
 
-  /// Fast-path variant: localize into a reused output object. The
-  /// contract (tests/test_differential.cc) is that every field a consumer
-  /// may read is bit-identical to update()'s result; consumers gate on
-  /// `out.available`, so implementations may leave stale estimate /
-  /// posterior / observables behind when the scheme is unavailable
-  /// (DESIGN.md section 11). The default delegates to update() --
-  /// correct for any scheme, zero-allocation only where overridden.
-  virtual void update_into(const sim::SensorFrame& frame, SchemeOutput& out) {
-    out = update(frame);
-  }
+  /// update_into on a fresh output: the convenience form for offline
+  /// training, benches and tests. Returns an empty output when the scheme
+  /// is unavailable this epoch.
+  SchemeOutput update(const sim::SensorFrame& frame);
 
-  /// Install the shared fast-path epoch state (nullptr detaches). The
-  /// fast pipeline calls this before each epoch's update_into round so
+  /// Install the shared per-epoch state (nullptr detaches).
+  /// Uniloc::update_fast calls this before each epoch's localize round so
   /// schemes querying the same sensor scan can share one candidate
   /// evaluation (schemes/epoch_context.h). The context must outlive the
   /// scheme's use of it -- it lives in the session's EpochScratch, whose
   /// lifetime rules (DESIGN.md section 11) already require exactly that.
-  /// Default: the scheme keeps no shared state. Only update_into may read
-  /// the context; update() must stay context-free (it is the reference
-  /// the differential suite compares against).
+  /// Without a context a scheme recomputes every evaluation itself,
+  /// bit-identically. Default: the scheme keeps no shared state.
   virtual void set_epoch_context(EpochContext* ctx) { (void)ctx; }
 
   /// Attach internal-stage latency instrumentation to `registry`
   /// (nullptr detaches). Default: the scheme has no internal stages worth
-  /// timing; Uniloc already times the whole update() call per scheme.
+  /// timing; Uniloc already times the whole localize call per scheme.
   virtual void attach_metrics(obs::MetricsRegistry* registry) {
     (void)registry;
   }
 
   /// Serialize the scheme's persistent mutable state (everything reset()
-  /// initializes and update() evolves) for a session checkpoint. This is
-  /// the one snapshot pair a scheme author implements. The default covers
+  /// initializes and update_into() evolves) for a session checkpoint.
+  /// This is the one snapshot pair a scheme author implements. The default covers
   /// stateless schemes: nothing written, restore succeeds. Stateful
   /// schemes override both; restore_from must consume exactly the bytes
   /// snapshot_into wrote under the same `ctx` (the caller length-prefixes
@@ -178,10 +192,11 @@ class LocalizationScheme {
     return true;
   }
 
-  /// Likelihood-cache query outcomes accumulated by this scheme's fast
-  /// path (update_into). Zero for schemes that do no RSSI matching. The
-  /// counters live in per-scheme scratch, so concurrent sessions (which
-  /// own disjoint scheme instances) never contend.
+  /// Likelihood-cache query outcomes of this scheme's unshared queries
+  /// (those made without an epoch memo). Zero for schemes that do no
+  /// RSSI matching. The counters live in per-scheme scratch, so
+  /// concurrent sessions (which own disjoint scheme instances) never
+  /// contend.
   virtual std::uint64_t cache_hits() const { return 0; }
   virtual std::uint64_t cache_misses() const { return 0; }
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -17,10 +17,25 @@
 
 namespace uniloc::svc {
 
+namespace {
+
+/// Refuses the retired knobs before any member (the worker pool
+/// included) is built.
+ServerConfig checked(ServerConfig cfg) {
+  if (!cfg.use_fast_path || cfg.simulated_network.count() != 0) {
+    throw std::invalid_argument(
+        "ServerConfig: use_fast_path and simulated_network are retired; "
+        "only their defaults (true, 0) are accepted");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 LocalizationServer::LocalizationServer(ServerConfig cfg,
                                        UnilocFactory factory,
                                        obs::MetricsRegistry* registry)
-    : cfg_(std::move(cfg)),
+    : cfg_(checked(std::move(cfg))),
       factory_(std::move(factory)),
       registry_(registry),
       sessions_(cfg_.stripes),
@@ -38,7 +53,6 @@ LocalizationServer::LocalizationServer(ServerConfig cfg,
     ins_.request_us = &registry->histogram("svc.request_us");
     ins_.parse_us = &registry->histogram("svc.parse_us");
     ins_.locate_us = &registry->histogram("svc.locate_us");
-    ins_.net_us = &registry->histogram("svc.net_us");
     ins_.perf_cache_hits = &registry->counter("perf.cache_hits");
     ins_.perf_cache_misses = &registry->counter("perf.cache_misses");
     ins_.perf_scratch_bytes = &registry->gauge("perf.scratch_bytes");
@@ -303,7 +317,6 @@ void LocalizationServer::run_epoch(Session& session,
   stage.restart();
   // We are on the session strand here, so the scratch arena and the perf
   // cursor are single-writer even with workers > 0.
-  core::EpochDecision ref_decision;
   const core::EpochDecision* decision_ptr;
   {
     obs::SpanHandle locate_span;
@@ -312,49 +325,27 @@ void LocalizationServer::run_epoch(Session& session,
       locate_span = tracer->begin("svc.locate", "svc", root.trace_id,
                                   root.span_id, session_id);
       // Core-layer spans (per-scheme localize, fusion) adopt this
-      // ambient context inside update()/update_fast().
+      // ambient context inside update_fast().
       scope.emplace(obs::TraceContext{root.trace_id, locate_span.span_id,
                                       session_id});
     }
-    if (cfg_.use_fast_path) {
-      decision_ptr = &session.uniloc().update_fast(req->frame,
-                                                   session.scratch());
-    } else {
-      ref_decision = session.uniloc().update(req->frame);
-      decision_ptr = &ref_decision;
-    }
+    decision_ptr =
+        &session.uniloc().update_fast(req->frame, session.scratch());
     if (tracer != nullptr) tracer->end(locate_span);
   }
   const core::EpochDecision& decision = *decision_ptr;
   const double locate_us = stage.elapsed_us();
 
-  std::uint64_t hits_delta = 0, misses_delta = 0, scratch_bytes = 0;
-  if (cfg_.use_fast_path) {
-    const std::uint64_t hits =
-        session.uniloc().scheme_cache_hits() + session.scratch().cache_hits();
-    const std::uint64_t misses = session.uniloc().scheme_cache_misses() +
-                                 session.scratch().cache_misses();
-    Session::PerfCursor& cursor = session.perf_cursor();
-    hits_delta = hits - cursor.cache_hits;
-    misses_delta = misses - cursor.cache_misses;
-    cursor.cache_hits = hits;
-    cursor.cache_misses = misses;
-    scratch_bytes = session.scratch().bytes();
-  }
-
-  stage.restart();
-  {
-    obs::SpanHandle net_span;
-    if (tracer != nullptr) {
-      net_span = tracer->begin("svc.net", "svc", root.trace_id,
-                               root.span_id, session_id);
-    }
-    if (cfg_.simulated_network.count() > 0) {
-      std::this_thread::sleep_for(cfg_.simulated_network);
-    }
-    if (tracer != nullptr) tracer->end(net_span);
-  }
-  const double net_us = stage.elapsed_us();
+  const std::uint64_t hits =
+      session.uniloc().scheme_cache_hits() + session.scratch().cache_hits();
+  const std::uint64_t misses = session.uniloc().scheme_cache_misses() +
+                               session.scratch().cache_misses();
+  Session::PerfCursor& cursor = session.perf_cursor();
+  const std::uint64_t hits_delta = hits - cursor.cache_hits;
+  const std::uint64_t misses_delta = misses - cursor.cache_misses;
+  cursor.cache_hits = hits;
+  cursor.cache_misses = misses;
+  const std::uint64_t scratch_bytes = session.scratch().bytes();
 
   obs::SpanHandle encode_span;
   if (tracer != nullptr) {
@@ -389,22 +380,19 @@ void LocalizationServer::run_epoch(Session& session,
 
   if (cfg_.on_epoch) cfg_.on_epoch(session_id, decision);
 
-  if (cfg_.use_fast_path) {
-    if (ins_.perf_cache_hits != nullptr && hits_delta > 0) {
-      ins_.perf_cache_hits->inc(hits_delta);
-    }
-    if (ins_.perf_cache_misses != nullptr && misses_delta > 0) {
-      ins_.perf_cache_misses->inc(misses_delta);
-    }
-    if (ins_.perf_scratch_bytes != nullptr) {
-      ins_.perf_scratch_bytes->set(static_cast<double>(scratch_bytes));
-    }
+  if (ins_.perf_cache_hits != nullptr && hits_delta > 0) {
+    ins_.perf_cache_hits->inc(hits_delta);
+  }
+  if (ins_.perf_cache_misses != nullptr && misses_delta > 0) {
+    ins_.perf_cache_misses->inc(misses_delta);
+  }
+  if (ins_.perf_scratch_bytes != nullptr) {
+    ins_.perf_scratch_bytes->set(static_cast<double>(scratch_bytes));
   }
 
   std::lock_guard<std::mutex> lock(ins_.mu);
   if (ins_.parse_us != nullptr) ins_.parse_us->observe(parse_us);
   if (ins_.locate_us != nullptr) ins_.locate_us->observe(locate_us);
-  if (ins_.net_us != nullptr) ins_.net_us->observe(net_us);
   if (ins_.request_us != nullptr) ins_.request_us->observe(request_us);
 }
 

@@ -23,7 +23,7 @@
 //   gauges    svc.live_sessions, svc.queue_depth
 //   counters  svc.accepted, svc.rejected, svc.evicted, svc.malformed
 //   histograms svc.request_us (accept -> reply, queue wait included),
-//              svc.parse_us, svc.locate_us, svc.net_us (per stage).
+//              svc.parse_us, svc.locate_us (per stage).
 #pragma once
 
 #include <chrono>
@@ -74,16 +74,13 @@ struct ServerConfig {
   /// Sessions are TTL-scanned every this many accepted frames (plus on
   /// every explicit evict_idle() call).
   std::size_t evict_scan_period{256};
-  /// Blocking per-epoch network time simulated on the worker: the
-  /// synchronous reply push of the phone/server split (Table V measures
-  /// 52 + 63 ms of transmissions per fix on campus WLAN). Workers overlap
-  /// these waits across sessions exactly like a real synchronous server;
-  /// 0 (the default) disables the wait for unit tests and replays.
+  /// Retired knobs, kept only because the repository benchmark harness
+  /// (perfbench/harness/serve.cc) assigns their defaults; they go once it
+  /// stops assigning them. The server never reads them: every epoch runs
+  /// core::Uniloc::update_fast against the session's scratch arena, and
+  /// no worker ever sleeps. The constructor refuses any value other than
+  /// the default with std::invalid_argument.
   std::chrono::microseconds simulated_network{0};
-  /// Run epochs through core::Uniloc::update_fast against the session's
-  /// scratch arena (zero steady-state allocations per epoch; decisions
-  /// bit-identical to the reference update()). false keeps the reference
-  /// pipeline -- the differential chaos tests drive both.
   bool use_fast_path{true};
   /// Injectable clock (microseconds, monotonic) for deterministic TTL
   /// tests; defaults to steady_clock. sim::VirtualClock::now_fn() plugs
@@ -131,7 +128,7 @@ struct ServerConfig {
   /// Causal span tracing (obs/span.h). Null = disabled; the detached
   /// cost on the epoch path is a branch per instrumentation point. One
   /// span tree per served epoch: svc.epoch > {svc.queue_wait,
-  /// svc.decode, svc.locate > core spans, svc.net, svc.encode}.
+  /// svc.decode, svc.locate > core spans, svc.encode}.
   obs::SpanTracer* tracer{nullptr};
   /// Per-session flight recorder; every served epoch records its scheme
   /// decision, every malformed epoch an error event. Null = off.
@@ -269,10 +266,9 @@ class LocalizationServer : public Endpoint {
     obs::Histogram* request_us{nullptr};
     obs::Histogram* parse_us{nullptr};
     obs::Histogram* locate_us{nullptr};
-    obs::Histogram* net_us{nullptr};
-    // Fast-path pipeline health (populated only when use_fast_path):
-    // likelihood-cache outcomes aggregated across sessions, and the
-    // arena footprint of the most recently served session.
+    // Epoch pipeline health: likelihood-cache outcomes aggregated across
+    // sessions, and the arena footprint of the most recently served
+    // session.
     obs::Counter* perf_cache_hits{nullptr};
     obs::Counter* perf_cache_misses{nullptr};
     obs::Gauge* perf_scratch_bytes{nullptr};

@@ -153,7 +153,7 @@ TEST(Features, CandidateSupersetOfModelFeatures) {
 TEST(Features, MotionReadsObservables) {
   sim::SensorFrame frame;
   schemes::SchemeOutput out;
-  out.observables["dist_since_landmark"] = 42.0;
+  out.observables.dist_since_landmark = 42.0;
   FeatureContext ctx;
   const auto x =
       extract_features(schemes::SchemeFamily::kMotionPdr, frame, out, ctx);

@@ -113,11 +113,8 @@ void check_against_golden(const std::vector<std::string>& lines,
 }
 
 svc::LoadReport run_scenario(GoldenFixture& fx, const fault::FaultPlan* plan,
-                             std::size_t walkers, std::size_t epochs,
-                             bool use_fast_path = true) {
-  svc::ServerConfig cfg;
-  cfg.use_fast_path = use_fast_path;
-  svc::LocalizationServer server(cfg, fx.factory(), nullptr);
+                             std::size_t walkers, std::size_t epochs) {
+  svc::LocalizationServer server(svc::ServerConfig{}, fx.factory(), nullptr);
   svc::LoadGenConfig lg;
   lg.walkers = walkers;
   lg.max_epochs_per_walker = epochs;
@@ -154,63 +151,9 @@ TEST(Golden, SeededChaosTraceMatchesFixture) {
   check_against_golden(render_trace(report), "trace_chaos.jsonl");
 }
 
-// The two tests above run the default (fast) epoch pipeline; the two
-// below replay the SAME fixtures through the reference pipeline. The
-// fixtures were recorded once -- both pipelines matching them is a
-// golden-anchored restatement of the differential guarantee: neither
-// pipeline may drift, separately or together.
-
-TEST(Golden, ReferencePipelineMatchesSameFaultFreeFixture) {
-  GoldenFixture fx;
-  const svc::LoadReport report = run_scenario(
-      fx, nullptr, /*walkers=*/1, /*epochs=*/10, /*use_fast_path=*/false);
-  ASSERT_EQ(report.total_epochs, 10u);
-  check_against_golden(render_trace(report), "trace_clean.jsonl");
-}
-
-TEST(Golden, ReferencePipelineMatchesSameChaosFixture) {
-  GoldenFixture fx;
-  fault::FaultRates rates;
-  rates.drop = 0.10;
-  rates.corrupt = 0.05;
-  rates.base_delay_us = 20'000;
-  fault::FaultPlan plan(5, rates);
-  plan.add_blackout(6, 9);
-  const svc::LoadReport report = run_scenario(
-      fx, &plan, /*walkers=*/2, /*epochs=*/12, /*use_fast_path=*/false);
-  check_against_golden(render_trace(report), "trace_chaos.jsonl");
-}
-
-// Golden traces cover two scenarios deeply; the seed sweep covers many
-// shallowly. For 32 seeds, the fast pipeline's rendered trace must equal
-// the reference pipeline's rendered trace line for line (the fixtures
-// cannot enumerate seeds, so the reference run IS the golden here).
-
-TEST(Golden, SeedSweepFastTraceEqualsReferenceTrace) {
-  GoldenFixture fx;
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    const auto run = [&fx, seed](bool fast) {
-      svc::ServerConfig cfg;
-      cfg.use_fast_path = fast;
-      svc::LocalizationServer server(cfg, fx.factory(), nullptr);
-      svc::LoadGenConfig lg;
-      lg.walkers = 2;
-      lg.max_epochs_per_walker = 8;
-      lg.seed = seed;
-      lg.resilience.retry.max_retries = 1;
-      lg.resilience.probe_period = 2;
-      lg.resilience.record_timeline = true;
-      return render_trace(run_load(server, fx.office, lg, nullptr));
-    };
-    const std::vector<std::string> ref = run(false);
-    const std::vector<std::string> fast = run(true);
-    ASSERT_FALSE(ref.empty()) << "seed " << seed;
-    ASSERT_EQ(ref.size(), fast.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(ref[i], fast[i]) << "seed " << seed << " line " << (i + 1);
-    }
-  }
-}
+// The served stream's agreement with the reference oracle, over 32 seeds
+// of this fixture's shape, is diff.DifferentialSvc.GoldenSeedSweep*
+// (tests/test_differential.cc).
 
 }  // namespace
 }  // namespace uniloc

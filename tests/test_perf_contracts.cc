@@ -35,8 +35,10 @@
 #include "core/trainer.h"
 #include "filter/particle_filter.h"
 #include "offload/bytes.h"
+#include "reference_pipeline.h"
 #include "rng_codec_oracle.h"
 #include "schemes/fingerprint_db.h"
+#include "schemes/fingerprint_scheme.h"
 #include "sim/builders.h"
 #include "sim/walker.h"
 #include "stats/rng_codec.h"
@@ -169,21 +171,21 @@ TEST(PerfContracts, UpdateFastIsAllocationFreeAfterWarmup) {
 }
 
 TEST(PerfContracts, ReferenceUpdateAllocatesProvingTheHookWorks) {
-  // Guard against a silently-disabled hook: the reference pipeline
-  // allocates its decision vectors every epoch, and the counter must see
-  // that.
+  // Guard against a silently-disabled hook: the reference oracle
+  // (tests/reference_pipeline.h) allocates its decision vectors every
+  // epoch, and the counter must see that.
   core::Deployment d = core::make_deployment(
       sim::office_place(42), core::DeploymentOptions{.seed = 42});
-  core::Uniloc uniloc = core::make_uniloc(d, test_models());
+  testing_util::ReferencePipeline oracle(d, test_models(), /*seed=*/7);
 
   sim::Walker walker(d.place.get(), d.radio.get(), 0, sim::WalkConfig{});
-  uniloc.reset({walker.start_position(), walker.start_heading()});
+  oracle.reset({walker.start_position(), walker.start_heading()});
 
   std::uint64_t total = 0;
   for (int e = 0; e < 30 && !walker.done(); ++e) {
-    const sim::SensorFrame frame = walker.step(uniloc.gps_enabled());
+    const sim::SensorFrame frame = walker.step(oracle.gps_enabled());
     begin_counting();
-    const core::EpochDecision dec = uniloc.update(frame);
+    const core::EpochDecision dec = oracle.update(frame);
     total += end_counting();
     ASSERT_FALSE(dec.outputs.empty());
   }
@@ -281,6 +283,57 @@ TEST(PerfContracts, CachedMatchesAreBitwiseEqualToReference) {
   }
   EXPECT_GT(scratch.cache_hits, 0u);
   EXPECT_EQ(scratch.cache_misses, 0u);
+
+  // Every WiFi and cellular scan the eight campus walks record, against
+  // both databases: the cached query at the schemes' k, and the
+  // per-epoch memo at every k from 1 to that k -- the memo serves the
+  // WiFi scheme, the fusion scheme and the rssi_dist_sd feature, each at
+  // its own k, from one candidate evaluation.
+  core::Deployment campus = core::make_deployment(
+      sim::campus(42), core::DeploymentOptions{.seed = 42});
+  const std::size_t top_k = schemes::FingerprintScheme::Options{}.top_k;
+  const auto expect_same_matches = [](const std::vector<schemes::Match>& want,
+                                      const std::vector<schemes::Match>& got,
+                                      const std::string& at) {
+    ASSERT_EQ(want.size(), got.size()) << at;
+    for (std::size_t m = 0; m < want.size(); ++m) {
+      ASSERT_EQ(want[m].index, got[m].index) << at << " match " << m;
+      ASSERT_EQ(want[m].distance, got[m].distance) << at << " match " << m;
+    }
+  };
+  std::size_t scans = 0;
+  std::uint64_t tag = 0;
+  for (const schemes::FingerprintDatabase* cdb :
+       {campus.wifi_db.get(), campus.cell_db.get()}) {
+    ASSERT_TRUE(cdb->likelihood_cache_ready());
+    schemes::ScanScratch cscratch;
+    schemes::ScanMemo memo;
+    std::vector<schemes::Match> got;
+    for (std::size_t w = 0; w < campus.place->walkways().size(); ++w) {
+      sim::WalkConfig wc;
+      wc.seed = 1000 + w;
+      sim::Walker walker(campus.place.get(), campus.radio.get(), w, wc);
+      while (!walker.done()) {
+        const sim::SensorFrame frame = walker.step(false);
+        const std::vector<sim::ApReading>& scan =
+            cdb == campus.wifi_db.get() ? frame.wifi : frame.cell;
+        if (scan.empty()) continue;
+        ++scans;
+        const std::string at =
+            "walk " + std::to_string(w) + " scan " + std::to_string(scans);
+        cdb->k_nearest_into(scan, top_k, cscratch, got);
+        expect_same_matches(cdb->k_nearest(scan, top_k), got, at);
+        ++tag;
+        for (std::size_t k = 1; k <= top_k; ++k) {
+          cdb->k_nearest_memo(scan, k, tag, memo, got);
+          expect_same_matches(cdb->k_nearest(scan, k), got,
+                              at + " memo k=" + std::to_string(k));
+        }
+      }
+    }
+    EXPECT_EQ(cscratch.cache_misses, 0u);
+  }
+  EXPECT_GT(scans, 1000u);
 }
 
 TEST(PerfContracts, BlendReadingInvalidatesTheCache) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/deployment.h"
+#include "schemes/pdr_scheme.h"
 #include "sim/builders.h"
+#include "sim/walker.h"
 
 namespace uniloc::sim {
 namespace {
@@ -149,6 +155,96 @@ TEST(MakeWalkway, TurnChangesDirection) {
   const geo::Vec2 end = w.line.points().back();
   EXPECT_NEAR(end.x, 10.0, 1e-9);
   EXPECT_NEAR(end.y, 10.0, 1e-9);
+}
+
+// --------------------------------------------- indexed environment lookup
+//
+// The PDR/fusion map constraint reads the environment through the
+// precomputed candidate index (Place::EnvView) and skips cells the index
+// certifies corridor-safe. Both are claimed exact: the view's answer is
+// environment_at's bit for bit, and a safe point is one where the
+// constraint's `beyond` term is exactly 0. The full-scan environment_at
+// is the oracle.
+
+/// Tracks the first failing point so a broken index reports one line,
+/// not millions.
+struct EnvCheck {
+  std::size_t points{0};
+  std::size_t safe{0};
+  std::size_t failures{0};
+  std::string first;
+
+  void check(const Place& place, const Place::EnvView& view, geo::Vec2 p) {
+    ++points;
+    const LocalEnvironment want = place.environment_at(p);
+    const LocalEnvironment got = view.environment(p);
+    const bool same = want.type == got.type &&
+                      want.corridor_width_m == got.corridor_width_m &&
+                      want.indoor == got.indoor &&
+                      want.sky_visibility == got.sky_visibility &&
+                      want.walkway == got.walkway &&
+                      want.arclen == got.arclen &&
+                      want.distance_to_walkway == got.distance_to_walkway;
+    bool ok = same;
+    if (view.corridor_safe(p)) {
+      ++safe;
+      ok = ok &&
+           want.distance_to_walkway - want.corridor_width_m / 2.0 <= 0.0;
+    }
+    if (!ok && failures++ == 0) {
+      first = "(" + std::to_string(p.x) + ", " + std::to_string(p.y) + ")" +
+              (same ? " corridor_safe but outside the corridor"
+                    : " environment differs");
+    }
+  }
+};
+
+void check_venue(const std::string& label, Place venue) {
+  const core::Deployment d = core::make_deployment(std::move(venue));
+  const Place& place = *d.place;
+  const Place::EnvView view = place.env_view();
+  EnvCheck c;
+
+  // Every point of a 0.25 m grid over the venue bounds.
+  const geo::BBox box = place.bounds();
+  for (double y = box.min.y; y <= box.max.y; y += 0.25) {
+    for (double x = box.min.x; x <= box.max.x; x += 0.25) {
+      c.check(place, view, {x, y});
+    }
+  }
+  const std::size_t grid_safe = c.safe;
+
+  // Every particle position of one PDR walk: the points the map
+  // constraint actually queries, off any grid.
+  schemes::PdrScheme pdr(&place, schemes::PdrOptions{});
+  Walker walker(&place, d.radio.get(), 0, WalkConfig{});
+  pdr.reset({walker.start_position(), walker.start_heading()});
+  while (!walker.done()) {
+    const schemes::SchemeOutput out = pdr.update(walker.step(false));
+    for (const schemes::WeightedPoint& wp : out.posterior.support) {
+      c.check(place, view, wp.pos);
+    }
+  }
+
+  EXPECT_EQ(c.failures, 0u) << label << ": " << c.failures << " of "
+                            << c.points << " points fail, first " << c.first;
+  EXPECT_GT(grid_safe, 0u) << label << ": no grid point certified safe";
+  EXPECT_GT(c.safe, grid_safe) << label << ": no particle certified safe";
+}
+
+TEST(PlaceEnvView, MatchesFullScanOnCampusAndOffice) {
+  check_venue("campus", campus(42));
+  check_venue("office", office_place(42));
+}
+
+TEST(PlaceEnvView, MatchesFullScanOnRandomVenues) {
+  for (int i = 0; i < 4; ++i) {
+    RandomPlaceSpec spec;
+    spec.seed = 100 + static_cast<std::uint64_t>(i);
+    spec.walkways = 2 + i;
+    spec.venue_mix = i;
+    check_venue("random " + std::to_string(i), random_place(spec));
+  }
 }
 
 }  // namespace

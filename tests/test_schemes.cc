@@ -124,8 +124,8 @@ TEST_F(SchemeTest, GpsConvertsToLocalFrame) {
   ASSERT_TRUE(out.available);
   EXPECT_NEAR(out.estimate.x, 30.0, 1e-6);
   EXPECT_NEAR(out.estimate.y, 40.0, 1e-6);
-  EXPECT_DOUBLE_EQ(out.observables.at("hdop"), 1.0);
-  EXPECT_DOUBLE_EQ(out.observables.at("num_satellites"), 9.0);
+  EXPECT_DOUBLE_EQ(out.observables.hdop.value(), 1.0);
+  EXPECT_DOUBLE_EQ(out.observables.num_satellites.value(), 9.0);
   // Posterior centered at the fix.
   EXPECT_LT(geo::distance(out.posterior.mean(), out.estimate), 0.5);
 }
@@ -167,9 +167,9 @@ TEST_F(SchemeTest, WifiReportsObservables) {
   const sim::SensorFrame f = walker.step();
   const SchemeOutput out = wifi.update(f);
   ASSERT_TRUE(out.available);
-  EXPECT_GT(out.observables.at("num_transmitters"), 0.0);
-  EXPECT_GE(out.observables.at("top_distance"), 0.0);
-  EXPECT_GE(out.observables.at("top3_distance_sd"), 0.0);
+  EXPECT_GT(out.observables.num_transmitters.value(), 0.0);
+  EXPECT_GE(out.observables.top_distance.value(), 0.0);
+  EXPECT_GE(out.observables.top3_distance_sd.value(), 0.0);
 }
 
 TEST_F(SchemeTest, CellularCoarserThanWifi) {
@@ -238,7 +238,7 @@ TEST_F(SchemeTest, PdrTracksDistanceSinceLandmark) {
   while (!walker.done()) {
     const sim::SensorFrame f = walker.step();
     const SchemeOutput out = pdr.update(f);
-    const double d = out.observables.at("dist_since_landmark");
+    const double d = out.observables.dist_since_landmark.value();
     if (d < prev - 1.0) saw_reset = true;
     prev = d;
   }

@@ -571,6 +571,29 @@ TEST(Server, SessionLifecycleErrors) {
             ErrorCode::kShuttingDown);
 }
 
+TEST(Server, RetiredKnobsAcceptOnlyTheirDefaults) {
+  // use_fast_path and simulated_network stay in ServerConfig only so
+  // existing callers that assign their defaults compile; every epoch runs
+  // update_fast and no worker sleeps, so any other value is refused
+  // before a worker starts.
+  ServerFixture fx;
+  ServerConfig reference;
+  reference.use_fast_path = false;
+  EXPECT_THROW(LocalizationServer(reference, fx.factory(), nullptr),
+               std::invalid_argument);
+  ServerConfig sleeping;
+  sleeping.workers = 2;
+  sleeping.simulated_network = std::chrono::microseconds(5000);
+  EXPECT_THROW(LocalizationServer(sleeping, fx.factory(), nullptr),
+               std::invalid_argument);
+  ServerConfig defaults;
+  defaults.use_fast_path = true;
+  defaults.simulated_network = std::chrono::microseconds(0);
+  LocalizationServer server(defaults, fx.factory(), nullptr);
+  EXPECT_EQ(get_reply(server, hello_frame(1, {5.0, 5.0}, 0.0)).type,
+            FrameType::kReply);
+}
+
 TEST(Server, DuplicateHelloIsRefusedBeforeTheFactoryRuns) {
   ServerFixture fx;
   std::size_t builds = 0;
@@ -921,8 +944,9 @@ class ReentrantProbeScheme final : public schemes::LocalizationScheme {
     return schemes::SchemeFamily::kOther;
   }
   void reset(const schemes::StartCondition&) override {}
-  schemes::SchemeOutput update(const sim::SensorFrame&) override {
-    return {};
+  void update_into(const sim::SensorFrame&,
+                   schemes::SchemeOutput& out) override {
+    out.available = false;
   }
   void snapshot_into(offload::ByteWriter&,
                      const schemes::SnapshotContext&) const override {
@@ -1257,8 +1281,7 @@ TEST(Server, EpochSpanTreeIsRootedAndComplete) {
     }
     EXPECT_EQ(svc_children,
               (std::set<std::string>{"svc.queue_wait", "svc.decode",
-                                     "svc.locate", "svc.net",
-                                     "svc.encode"}));
+                                     "svc.locate", "svc.encode"}));
     // One span per registered scheme plus the fusion span.
     EXPECT_EQ(core_names.count("core.fuse"), 1u);
     EXPECT_GE(core_names.size(), 2u);
